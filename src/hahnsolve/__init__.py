@@ -58,6 +58,7 @@ from .solver import (
     image_ball,
     pull_nest,
     solve,
+    trace_entries,
     trace_to_json_lines,
     verify_section_injectivity,
     verify_value_map,
@@ -95,7 +96,7 @@ from .pseudo_direct import (
     pseudo_direct_section,
     sum_map,
 )
-from .reporting import CheckReport, CheckSuite
+from .reporting import CheckReport
 from .sampling import (
     random_ball,
     random_coefficient,

@@ -9,6 +9,7 @@ All output is deterministic for a fixed argument list and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -27,14 +28,14 @@ from .errors import (
 )
 from .fields import CoefficientField, field_by_name
 from .fixtures import build_instance, instance_names, run_instance_checks
-from .parsing import parse_series, series_to_json_dict, series_to_text
+from .parsing import _split_top_level, parse_series, series_to_json_dict, series_to_text
 from .pseudo_direct import (
     ProductElement,
     check_pseudo_direct_witness,
     decompose_solve,
     parse_subgroup,
 )
-from .solver import SolveResult
+from .solver import trace_entries
 from .valuegroups import OrderedValue, ValueGroup, group_by_name, ov_format, ov_parse
 
 
@@ -78,17 +79,6 @@ def _product_text(t: ProductElement) -> str:
     return "(" + "; ".join(series_to_text(s) for s in t.components) + ")"
 
 
-def _trace_entries(config: CliConfig, result: SolveResult, term_str) -> list[dict]:
-    return [
-        {
-            "iter": step.iteration,
-            "residual_value": _value_str(config, step.residual_value),
-            "term": term_str(step.term),
-        }
-        for step in result.trace
-    ]
-
-
 def _emit(config: CliConfig, command: str, text_lines: list[str], result: dict, trace: list[dict]):
     if config.output == "json":
         print(
@@ -111,7 +101,7 @@ def cmd_integrate(config: CliConfig, args: argparse.Namespace) -> int:
     dspec = DifferentialFieldSpec(config.field, config.group, derivation)
     b = parse_series(config.field, config.group, args.series)
     result = integrate(dspec, b, precision=config.precision, max_iter=config.max_iter)
-    trace = _trace_entries(config, result, series_to_text)
+    trace = trace_entries(result, series_to_text, functools.partial(ov_format, config.group))
     lines = [
         f"solution: {series_to_text(result.solution)}",
         f"residual_value: {_value_str(config, result.residual_value)}",
@@ -152,7 +142,7 @@ def cmd_derive(config: CliConfig, args: argparse.Namespace) -> int:
 def cmd_decompose(config: CliConfig, args: argparse.Namespace) -> int:
     subgroups = [
         parse_subgroup(config.field, config.group, part)
-        for part in args.parts.split(",")
+        for part in _split_top_level(args.parts, ",")
         if part.strip()
     ]
     if not subgroups:
@@ -166,7 +156,7 @@ def cmd_decompose(config: CliConfig, args: argparse.Namespace) -> int:
         verdict = "pass" if check_pseudo_direct_witness(a, parts) else "FAIL"
     else:
         verdict = "vacuous"
-    trace = _trace_entries(config, result, _product_text)
+    trace = trace_entries(result, _product_text, functools.partial(ov_format, config.group))
     lines = [
         f"part {sub.name}: {series_to_text(s)}"
         for sub, s in zip(subgroups, parts.components)

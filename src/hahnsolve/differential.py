@@ -187,7 +187,7 @@ def derive(derivation: TermwiseDerivation, s: Series) -> Series:
 
 
 def has_no_constant_term(s: Series) -> bool:
-    return all(s.group.compare(g, s.group.zero) != 0 for g in s.support)
+    return s.group.zero not in s.support
 
 
 def asymptotic_section(dspec: DifferentialFieldSpec, b: Series) -> Series:
@@ -222,7 +222,7 @@ def integration_instance(
     def admissible(v: OrderedValue) -> bool:
         return (
             not v.is_infinite
-            and dspec.group.compare(v.finite, dspec.group.zero) != 0
+            and v.finite != dspec.group.zero
             and not dspec.field.is_zero(derivation.scale(v.finite))
         )
 
@@ -301,7 +301,7 @@ def check_differential_valuation(
             continue
         vb = b.valuation()
         margin = group.sub(group.add(vb.finite, vda.finite), vdb.finite)
-        if group.compare(margin, group.zero) <= 0:
+        if margin <= group.zero:
             violations.append(
                 f"v(b)+v(Da)-v(Db) = {group.format(margin)} is not positive"
             )

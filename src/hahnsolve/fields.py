@@ -54,7 +54,8 @@ class CoefficientField(ABC):
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a: FieldElement) -> bool:
-        return a == self.zero
+        """Elements are numbers (``Fraction``, canonical ``int``): zero is falsy."""
+        return not a
 
     def __repr__(self):
         return self.name

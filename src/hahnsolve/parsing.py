@@ -98,7 +98,7 @@ def series_to_text(s: Series) -> str:
 
 
 def _term_text(s: Series, coeff, exponent) -> str:
-    if s.group.compare(exponent, s.group.zero) == 0:
+    if exponent == s.group.zero:
         return s.field.format(coeff)
     body = f"t^{s.group.format(exponent)}"
     if coeff == s.field.one:

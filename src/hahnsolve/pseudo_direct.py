@@ -36,7 +36,7 @@ from .solver import (
     solve,
 )
 from .ultrametric import Ball, ValuedGroup, intersect_finite_nest
-from .valuegroups import INFINITY, GroupElement, OrderedValue, ValueGroup
+from .valuegroups import INFINITY, GroupElement, LexPair, OrderedValue, ValueGroup
 
 
 @dataclass(frozen=True)
@@ -383,10 +383,15 @@ def parse_subgroup(
     field: CoefficientField, group: ValueGroup, text: str
 ) -> Subgroup:
     """Subgroup from a selector: ``even``, ``odd``, ``mod:<k>:<r>``,
-    ``set:{g1,g2,...}`` or ``span:{series; series; ...}``."""
+    ``set:{g1,g2,...}`` or ``span:{series; series; ...}``.
+
+    The residue patterns (``even``, ``odd``, ``mod:``) need scalar exponents
+    and are refused over a lexicographic pair group."""
     from .parsing import _split_top_level, parse_series
 
     text = text.strip()
+    if (text in ("even", "odd") or text.startswith("mod:")) and isinstance(group, LexPair):
+        raise ParseError(f"pattern {text!r} needs int or rat exponents, not {group.name}")
     if text == "even":
         return SupportSubgroup("even", lambda g: g % 2 == 0)
     if text == "odd":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -30,21 +30,3 @@ class CheckReport:
             f"{self.name}: {status} "
             f"({self.checked} checked, {len(self.violations)} violations{extra})"
         )
-
-
-@dataclass
-class CheckSuite:
-    """Ordered collection of reports with an overall verdict."""
-
-    reports: list[CheckReport] = field(default_factory=list)
-
-    def add(self, report: CheckReport) -> CheckReport:
-        self.reports.append(report)
-        return report
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.reports)
-
-    def summary_lines(self) -> list[str]:
-        return [r.summary() for r in self.reports]

@@ -16,7 +16,6 @@ lower bound.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -54,15 +53,16 @@ class Series:
     truncation: OrderedValue = INFINITY
 
     def __post_init__(self):
+        bound = self.truncation.finite
         prev = None
-        for t in self.terms:
-            if self.field.is_zero(t.coefficient):
-                raise ValueError(f"zero coefficient stored at exponent {t.exponent!r}")
-            if not OrderedValue(t.exponent) < self.truncation:
-                raise ValueError(f"exponent {t.exponent!r} at or above truncation")
-            if prev is not None and self.group.compare(prev, t.exponent) >= 0:
+        for c, g in self.terms:
+            if self.field.is_zero(c):
+                raise ValueError(f"zero coefficient stored at exponent {g!r}")
+            if bound is not None and g >= bound:
+                raise ValueError(f"exponent {g!r} at or above truncation")
+            if prev is not None and prev >= g:
                 raise ValueError("exponents not strictly ascending")
-            prev = t.exponent
+            prev = g
 
     # -- structure ---------------------------------------------------------
 
@@ -76,7 +76,7 @@ class Series:
 
     def coefficient(self, exponent: GroupElement) -> FieldElement:
         for t in self.terms:
-            if self.group.compare(t.exponent, exponent) == 0:
+            if t.exponent == exponent:
                 return t.coefficient
         return self.field.zero
 
@@ -199,13 +199,11 @@ def make_series(
     acc: dict[GroupElement, FieldElement] = {}
     for c, g in terms:
         acc[g] = field.add(acc[g], c) if g in acc else c
-    kept = [
-        Term(c, g)
-        for g, c in acc.items()
-        if not field.is_zero(c) and OrderedValue(g) < truncation
-    ]
-    kept.sort(key=functools.cmp_to_key(lambda s, t: group.compare(s.exponent, t.exponent)))
-    return Series(field, group, tuple(kept), truncation)
+    bound = truncation.finite
+    kept = sorted(
+        g for g, c in acc.items() if not field.is_zero(c) and (bound is None or g < bound)
+    )
+    return Series(field, group, tuple(Term(acc[g], g) for g in kept), truncation)
 
 
 @dataclass(frozen=True)

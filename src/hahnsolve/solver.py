@@ -20,6 +20,7 @@ the constructive content of transferring spherical completeness.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -159,25 +160,55 @@ def default_value_str(v: OrderedValue) -> str:
     return "inf" if v.is_infinite else str(v.finite)
 
 
+def trace_entries(
+    result: SolveResult,
+    term_str: Callable[[Any], str] = str,
+    value_str: Callable[[OrderedValue], str] = default_value_str,
+) -> list[dict]:
+    """One JSON-ready dict per correction: iteration, residual value, term."""
+    return [
+        {
+            "iter": step.iteration,
+            "residual_value": value_str(step.residual_value),
+            "term": term_str(step.term),
+        }
+        for step in result.trace
+    ]
+
+
 def trace_to_json_lines(
     result: SolveResult,
     term_str: Callable[[Any], str] = str,
     value_str: Callable[[OrderedValue], str] = default_value_str,
 ) -> list[str]:
     """One JSON object per correction, for audit logs and golden tests."""
-    return [
-        json.dumps(
-            {
-                "iter": step.iteration,
-                "residual_value": value_str(step.residual_value),
-                "term": term_str(step.term),
-            }
-        )
-        for step in result.trace
-    ]
+    return [json.dumps(entry) for entry in trace_entries(result, term_str, value_str)]
 
 
 # -- hypothesis checks (sample-based, reported, never assumed) -------------
+
+
+def _value_pair_violations(
+    observed: Sequence[tuple[OrderedValue, OrderedValue]],
+) -> tuple[int, list[str]]:
+    """Pairs checked and violations over all pairs of (value, image value).
+
+    Each pair is put in ascending domain order first, so the verdict does not
+    depend on sample order.
+    """
+    violations = []
+    for (v1, w1), (v2, w2) in itertools.combinations(observed, 2):
+        if v2 < v1:
+            (v1, w1), (v2, w2) = (v2, w2), (v1, w1)
+        if v1 == v2 and w1 != w2:
+            violations.append(
+                f"not well defined: value {v1!r} maps to both {w1!r} and {w2!r}"
+            )
+        elif v1 < v2 and not w1 < w2:
+            violations.append(
+                f"order not strictly preserved: {v1!r}<{v2!r} but {w1!r}>={w2!r}"
+            )
+    return len(observed) * (len(observed) - 1) // 2, violations
 
 
 def check_value_map_order(
@@ -193,22 +224,7 @@ def check_value_map_order(
         (spec.domain.valuation(s), spec.codomain.valuation(spec.apply(s)))
         for s in section_samples
     ]
-    violations = []
-    checked = 0
-    for i in range(len(observed)):
-        for j in range(i + 1, len(observed)):
-            (v1, w1), (v2, w2) = observed[i], observed[j]
-            if v2 < v1:
-                (v1, w1), (v2, w2) = (v2, w2), (v1, w1)
-            checked += 1
-            if v1 == v2 and w1 != w2:
-                violations.append(
-                    f"not well defined: value {v1!r} maps to both {w1!r} and {w2!r}"
-                )
-            elif v1 < v2 and not w1 < w2:
-                violations.append(
-                    f"order not strictly preserved: {v1!r}<{v2!r} but {w1!r}>={w2!r}"
-                )
+    checked, violations = _value_pair_violations(observed)
     return CheckReport("value_map_order", checked, tuple(violations))
 
 
@@ -308,15 +324,8 @@ def verify_value_map(
             continue
         if not vs.is_infinite and not value_map.domain_contains(vs):
             violations.append(f"achieved value {vs!r} rejected by domain test")
-    for i in range(len(observed)):
-        for j in range(i + 1, len(observed)):
-            (v1, w1), (v2, w2) = observed[i], observed[j]
-            checked += 1
-            if v1 < v2 and not w1 < w2:
-                violations.append(f"forward not strictly monotone at {v1!r}<{v2!r}")
-            elif v1 == v2 and w1 != w2:
-                violations.append(f"forward not a function at {v1!r}")
-    return CheckReport("value_map_roundtrip", checked, tuple(violations))
+    pairs, pair_violations = _value_pair_violations(observed)
+    return CheckReport("value_map_roundtrip", checked + pairs, tuple(violations + pair_violations))
 
 
 # -- ball transport --------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Sequence
 
 from .errors import InvalidNest
 from .reporting import CheckReport
-from .valuegroups import INFINITY, OrderedValue, ValueGroup, ov_compare
+from .valuegroups import INFINITY, OrderedValue, ValueGroup
 
 Element = Any
 
@@ -95,12 +95,12 @@ def check_ultrametric(
         if vd < lower:
             violations.append(f"triangle law: v(a-b)={vd!r} < min={lower!r}")
             continue
-        if ov_compare(va, vb) != 0 and ov_compare(vd, lower) != 0:
+        if va != vb and vd != lower:
             violations.append(
                 f"sharp triangle: v(a)={va!r} != v(b)={vb!r} but v(a-b)={vd!r} != min"
             )
             continue
-        if ov_compare(space.valuation(space.neg(a)), va) != 0:
+        if space.valuation(space.neg(a)) != va:
             violations.append(f"negation symmetry: v(-a) != v(a)={va!r}")
             continue
         if not space.valuation(space.sub(a, a)).is_infinite:

@@ -2,8 +2,10 @@
 
 Built-in groups: integers, rationals, and lexicographic pairs (left dominant).
 Group elements are plain Python values (``int``, ``Fraction``, nested tuples)
-whose native ordering agrees with the group order, so values stay hashable and
-cheap to compare.
+whose native ordering is the group order: tuples compare lexicographically,
+left dominant, exactly as ``LexPair`` requires.  Every comparison in the
+package uses the native operators; ``ValueGroup.compare`` is derived from them
+and kept as a three-way API.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ GroupElement = Any
 
 
 class ValueGroup(ABC):
-    """Ordered abelian group contract: add/neg/compare plus text round-trip."""
+    """Ordered abelian group contract: add/neg/compare plus text round-trip.
+
+    Elements must be hashable and natively ordered by the group order.
+    """
 
     name: str
 
@@ -36,7 +41,7 @@ class ValueGroup(ABC):
 
     @abstractmethod
     def compare(self, a: GroupElement, b: GroupElement) -> int:
-        """-1, 0 or +1; a total order, translation invariant."""
+        """-1, 0 or +1 by the native order; total and translation invariant."""
 
     @abstractmethod
     def parse(self, text: str) -> GroupElement: ...
@@ -135,8 +140,7 @@ class LexPair(ValueGroup):
         return (self.left.neg(a[0]), self.right.neg(a[1]))
 
     def compare(self, a, b):
-        c = self.left.compare(a[0], b[0])
-        return c if c != 0 else self.right.compare(a[1], b[1])
+        return _cmp(a, b)
 
     def parse(self, text):
         text = text.strip()

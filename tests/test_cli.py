@@ -135,6 +135,15 @@ class TestDecompose:
         assert code == 3
         assert "unique cancelling combination" in err
 
+    def test_set_pattern_commas_stay_inside_braces(self):
+        code, out, _ = run_cli(["decompose", "--parts", "set:{1,2},odd", "t^1 + t^3"])
+        assert code == 0
+        assert out.splitlines()[:3] == [
+            "part set:{1,2}: t^1",
+            "part odd: t^3",
+            "witness: pass",
+        ]
+
     def test_empty_parts_rejected(self):
         code, _, err = run_cli(["decompose", "--parts", " ", "t^1"])
         assert code == 2
@@ -205,6 +214,7 @@ class TestArgumentErrors:
             ["derive", "--group", "galaxy", "t^1"],
             ["integrate", "--max-iter", "0", "t^1"],
             ["check", "--samples", "-3"],
+            ["decompose", "--group", "lex2", "--parts", "even,odd", "t^(1,2)"],
         ],
     )
     def test_parse_errors_exit_two(self, argv):

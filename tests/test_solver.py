@@ -235,6 +235,21 @@ class TestHypothesisChecks:
         assert not report.ok
         assert all("forward(" in v for v in report.violations)
 
+    @pytest.mark.parametrize("exponents", [(1, 2), (2, 1)])
+    def test_verify_value_map_flags_reversal_in_either_sample_order(self, exponents):
+        # t^g -> t^-g reverses the order; the claimed map agrees with it, so
+        # only the pairwise monotonicity audit can catch it
+        spec = hs.HomomorphismSpec(
+            QZ, QZ, lambda s: QZ.monomial(1, -s.leading_term().exponent)
+        )
+        negate = lambda v: OV(-v.finite)
+        vmap = hs.ValueMap(forward=negate, inverse=negate, domain_contains=lambda v: True)
+        samples = [QZ.monomial(1, g) for g in exponents]
+        report = hs.verify_value_map(vmap, spec, samples)
+        assert report.checked == 3
+        assert len(report.violations) == 1
+        assert "order not strictly preserved" in report.violations[0]
+
 
 class TestBallTransport:
     def test_image_ball_moves_radius_through_value_map(self, ddt_parts):
