@@ -275,9 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one argument parser of this process, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _config_from(args)
         return args.handler(config, args)
@@ -285,7 +290,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except IterationLimit as e:
-        print(f"error: {e} (residual value {e.residual_value!r})", file=sys.stderr)
+        value = ov_format(config.group, e.residual_value)
+        print(f"error: {e} (residual value {value})", file=sys.stderr)
         return 4
     except SectionFailure as e:
         print(f"error: {e}", file=sys.stderr)

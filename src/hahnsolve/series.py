@@ -16,8 +16,10 @@ lower bound.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import EmptySupport, IndeterminateValuation
@@ -43,8 +45,10 @@ class Series:
 
     Invariants: no stored coefficient is zero, every stored exponent has value
     strictly below ``truncation``, and exponents are strictly ascending.
-    Construct through ``make_series`` (or the ``SeriesSpace`` helpers), which
-    normalizes arbitrary term lists; the constructor only validates.
+    A direct construction checks all three and raises ``ValueError`` if one
+    fails.  ``make_series`` (and the ``SeriesSpace`` helpers) normalizes an
+    arbitrary term list; it and the arithmetic below build their results
+    without the check, because the invariants hold by construction.
     """
 
     field: CoefficientField
@@ -109,16 +113,10 @@ class Series:
             raise ValueError("series live over different fields or value groups")
 
     def add(self, other: "Series") -> "Series":
-        self._like(other)
-        return make_series(
-            self.field,
-            self.group,
-            tuple(self.terms) + tuple(other.terms),
-            min(self.truncation, other.truncation),
-        )
+        return _merge(self, other, negate=False)
 
     def neg(self) -> "Series":
-        return Series(
+        return _trusted(
             self.field,
             self.group,
             tuple(Term(self.field.neg(c), g) for c, g in self.terms),
@@ -126,7 +124,7 @@ class Series:
         )
 
     def sub(self, other: "Series") -> "Series":
-        return self.add(other.neg())
+        return _merge(self, other, negate=True)
 
     def scale(self, c: FieldElement) -> "Series":
         return make_series(
@@ -159,8 +157,9 @@ class Series:
 
     def truncate(self, alpha: OrderedValue) -> "Series":
         """Quotient map modulo the ball of radius ``alpha`` around zero."""
-        return make_series(
-            self.field, self.group, self.terms, min(self.truncation, alpha)
+        truncation = min(self.truncation, alpha)
+        return _trusted(
+            self.field, self.group, _below(self.terms, truncation), truncation
         )
 
     def quotient_valuation(self, alpha: OrderedValue) -> OrderedValue:
@@ -203,7 +202,59 @@ def make_series(
     kept = sorted(
         g for g, c in acc.items() if not field.is_zero(c) and (bound is None or g < bound)
     )
-    return Series(field, group, tuple(Term(acc[g], g) for g in kept), truncation)
+    return _trusted(field, group, tuple(Term(acc[g], g) for g in kept), truncation)
+
+
+_exponent = itemgetter(1)
+
+
+def _trusted(
+    field: CoefficientField,
+    group: ValueGroup,
+    terms: tuple[Term, ...],
+    truncation: OrderedValue,
+) -> Series:
+    """A ``Series`` from terms that already meet its invariants, unchecked."""
+    s = object.__new__(Series)
+    s.__dict__.update(field=field, group=group, terms=terms, truncation=truncation)
+    return s
+
+
+def _below(terms: tuple[Term, ...], truncation: OrderedValue) -> tuple[Term, ...]:
+    """The sorted ``terms`` whose exponents lie strictly below ``truncation``."""
+    bound = truncation.finite
+    return terms if bound is None else terms[: bisect_left(terms, bound, key=_exponent)]
+
+
+def _merge(x: Series, y: Series, negate: bool) -> Series:
+    """``x + y`` (``x - y`` when ``negate``) as one merge of the sorted terms.
+
+    Walks the shorter operand and finds each of its exponents in the longer
+    one by bisection, so the runs in between are copied as slices; only
+    coefficients at shared exponents are added and tested for zero.  The
+    result is cut at the smaller truncation.
+    """
+    x._like(y)
+    field = x.field
+    ys = tuple(Term(field.neg(c), g) for c, g in y.terms) if negate else y.terms
+    short, long = (x.terms, ys) if len(x.terms) <= len(ys) else (ys, x.terms)
+    out: list[Term] = []
+    i = 0
+    for term in short:
+        g = term.exponent
+        j = bisect_left(long, g, i, key=_exponent)
+        out += long[i:j]
+        if j < len(long) and long[j].exponent == g:
+            c = field.add(term.coefficient, long[j].coefficient)
+            if not field.is_zero(c):
+                out.append(Term(c, g))
+            j += 1
+        else:
+            out.append(term)
+        i = j
+    out += long[i:]
+    truncation = min(x.truncation, y.truncation)
+    return _trusted(field, x.group, _below(tuple(out), truncation), truncation)
 
 
 @dataclass(frozen=True)
@@ -222,6 +273,9 @@ class SeriesSpace(ValuedGroup):
 
     def neg(self, a: Series) -> Series:
         return a.neg()
+
+    def sub(self, a: Series, b: Series) -> Series:
+        return a.sub(b)
 
     def valuation(self, a: Series) -> OrderedValue:
         return a.valuation()

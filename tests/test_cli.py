@@ -70,6 +70,13 @@ class TestIntegrate:
         assert code == 4
         assert "iteration limit" in err
 
+    def test_iteration_limit_formats_the_residual_value(self):
+        code, out, err = run_cli(["integrate", "--max-iter", "2", "t^1+t^2+t^3"])
+        assert code == 4
+        assert out == ""
+        assert err == "error: iteration limit reached after 2 steps (residual value 3)\n"
+        assert "OrderedValue(" not in err
+
     def test_blurry_target_below_precision_is_a_domain_error(self):
         code, _, err = run_cli(["integrate", "--derivation", "euler", "0 + O(3)"])
         assert code == 1

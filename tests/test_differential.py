@@ -163,6 +163,26 @@ class TestIntegrate:
         with pytest.raises(hs.Obstruction):
             hs.termwise_integral_oracle(DDT, QZ.series([(1, -1), (1, 2)]))
 
+    def test_correction_cost_is_linear_in_the_term_count(self, monkeypatch):
+        # Each correction cancels one leading term; the rest of the residual
+        # must be carried over, not re-normalised.  Zero tests count that
+        # work without timing it: re-normalising every step costs about n^2.
+        n = 400
+        b = QZ.series([(Fraction(k % 7 + 1, k % 5 + 1), k) for k in range(n)])
+        is_zero = hs.CoefficientField.is_zero
+        calls = 0
+
+        def counting(field, a):
+            nonlocal calls
+            calls += 1
+            return is_zero(field, a)
+
+        monkeypatch.setattr(hs.CoefficientField, "is_zero", counting)
+        result = hs.integrate(DDT, b)
+        assert result.iterations == n
+        assert calls <= 20 * n
+        assert result.solution == hs.termwise_integral_oracle(DDT, b)
+
     @given(
         st.lists(
             st.tuples(coefficients(), st.integers(-8, 8).filter(lambda g: g != 0)),

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import hahnsolve as hs
 
@@ -95,6 +96,73 @@ class TestAdditiveStructure:
         assert a.add(b).add(c) == a.add(b.add(c))
         assert a.add(a.neg()).terms == ()
         assert a.add(QZ.zero) == a
+
+
+MERGE_SPACES = [
+    hs.SeriesSpace(field, group)
+    for field in (hs.QQ, hs.PrimeField(7))
+    for group in (hs.INTEGERS, hs.RATIONALS, hs.LEX2)
+]
+
+
+def _group_elements(group):
+    small = st.integers(-6, 6)
+    if group == hs.LEX2:
+        return st.tuples(small, small)
+    if group == hs.RATIONALS:
+        return st.fractions(-6, 6, max_denominator=3)
+    return small
+
+
+@st.composite
+def merge_operands(draw):
+    """Two normalised series over one space, a cutoff, and shared exponents.
+
+    Some of ``x``'s terms are copied into ``y`` negated (so ``add`` cancels
+    them) or unchanged (so ``sub`` cancels them); truncations are exact or
+    finite, independently.
+    """
+    space = draw(st.sampled_from(MERGE_SPACES))
+    field, elements = space.field, _group_elements(space.group)
+    pairs = st.lists(st.tuples(st.integers(-9, 9), elements), max_size=10)
+    cutoffs = st.one_of(st.just(INF), elements.map(OV))
+    x = space.series(draw(pairs), draw(cutoffs))
+    shared = draw(st.lists(st.sampled_from(x.terms), max_size=4)) if x.terms else []
+    flips = draw(st.lists(st.booleans(), min_size=len(shared), max_size=len(shared)))
+    copied = [(field.neg(c) if flip else c, g) for (c, g), flip in zip(shared, flips)]
+    y = space.series(draw(pairs) + copied, draw(cutoffs))
+    return x, y, draw(cutoffs)
+
+
+def _validated(s):
+    """Rebuild ``s`` through the checking constructor; raises if invalid."""
+    return hs.Series(s.field, s.group, s.terms, s.truncation)
+
+
+class TestMergeMatchesNormaliser:
+    @given(merge_operands())
+    def test_add_sub_neg_truncate(self, operands):
+        x, y, alpha = operands
+        field, group = x.field, x.group
+        cut = min(x.truncation, y.truncation)
+        negated_y = [(field.neg(c), g) for c, g in y.terms]
+        expected = {
+            "add": hs.make_series(field, group, x.terms + y.terms, cut),
+            "sub": hs.make_series(field, group, list(x.terms) + negated_y, cut),
+            "neg": hs.make_series(field, group, negated_y, y.truncation),
+            "truncate": hs.make_series(
+                field, group, x.terms, min(x.truncation, alpha)
+            ),
+        }
+        got = {
+            "add": x.add(y),
+            "sub": x.sub(y),
+            "neg": y.neg(),
+            "truncate": x.truncate(alpha),
+        }
+        for name, result in got.items():
+            assert result == expected[name], name
+            assert _validated(result) == result, name
 
 
 class TestMultiplication:
