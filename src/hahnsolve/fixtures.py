@@ -32,6 +32,7 @@ from .differential import (
     has_no_constant_term,
     integration_instance,
 )
+from .errors import ParseError
 from .fields import QQ, CoefficientField
 from .reporting import CheckReport
 from .sampling import random_series
@@ -282,21 +283,31 @@ def _broken_progress(field: CoefficientField, group: ValueGroup) -> CheckInstanc
     )
 
 
+_BROKEN = {
+    "broken-order": _broken_order,
+    "broken-monotone": _broken_monotone,
+    "broken-progress": _broken_progress,
+}
+
+
 def build_instance(
     name: str, field: CoefficientField = QQ, group: ValueGroup = INTEGERS
 ) -> CheckInstance:
+    """The named fixture; the ``broken-*`` ones exist over QQ with ``int``
+    exponents only and refuse any other field or group with ``ParseError``."""
     if name == "euler":
         dspec = DifferentialFieldSpec(field, group, euler(field, group))
         return _differential_instance("euler", dspec, "t*d/dt on exact series")
     if name == "ddt":
         dspec = DifferentialFieldSpec(field, group, ddt(field, group))
         return _differential_instance("ddt", dspec, "d/dt on exact series")
-    if name == "broken-order":
-        return _broken_order(QQ, INTEGERS)
-    if name == "broken-monotone":
-        return _broken_monotone(QQ, INTEGERS)
-    if name == "broken-progress":
-        return _broken_progress(QQ, INTEGERS)
+    if name in _BROKEN:
+        if (field, group) != (QQ, INTEGERS):
+            raise ParseError(
+                f"instance {name!r} is defined over {QQ.name} with {INTEGERS.name} "
+                f"exponents only, not {field.name} with {group.name}"
+            )
+        return _BROKEN[name](field, group)
     raise ValueError(f"unknown check instance {name!r} (choose from {instance_names()})")
 
 

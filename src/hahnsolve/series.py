@@ -47,8 +47,9 @@ class Series:
     strictly below ``truncation``, and exponents are strictly ascending.
     A direct construction checks all three and raises ``ValueError`` if one
     fails.  ``make_series`` (and the ``SeriesSpace`` helpers) normalizes an
-    arbitrary term list; it and the arithmetic below build their results
-    without the check, because the invariants hold by construction.
+    arbitrary term list; it and the arithmetic below (``add``, ``sub``,
+    ``neg``, ``scale``, ``truncate`` and ``SeriesSpace.zero``) build their
+    results without the check, because the invariants hold by construction.
     """
 
     field: CoefficientField
@@ -109,7 +110,9 @@ class Series:
     # -- arithmetic --------------------------------------------------------
 
     def _like(self, other: "Series") -> None:
-        if self.field != other.field or self.group != other.group:
+        if (self.field is not other.field and self.field != other.field) or (
+            self.group is not other.group and self.group != other.group
+        ):
             raise ValueError("series live over different fields or value groups")
 
     def add(self, other: "Series") -> "Series":
@@ -127,10 +130,16 @@ class Series:
         return _merge(self, other, negate=True)
 
     def scale(self, c: FieldElement) -> "Series":
-        return make_series(
-            self.field,
+        """``c`` times the series: the term order is kept and zero products
+        dropped, which a non-canonical scalar such as ``7`` over GF(7) makes."""
+        field = self.field
+        if field.is_zero(c):
+            return _trusted(field, self.group, (), self.truncation)
+        products = (Term(field.mul(c, a), g) for a, g in self.terms)
+        return _trusted(
+            field,
             self.group,
-            tuple(Term(self.field.mul(c, t.coefficient), t.exponent) for t in self.terms),
+            tuple(t for t in products if not field.is_zero(t.coefficient)),
             self.truncation,
         )
 
@@ -229,22 +238,36 @@ def _below(terms: tuple[Term, ...], truncation: OrderedValue) -> tuple[Term, ...
 def _merge(x: Series, y: Series, negate: bool) -> Series:
     """``x + y`` (``x - y`` when ``negate``) as one merge of the sorted terms.
 
-    Walks the shorter operand and finds each of its exponents in the longer
-    one by bisection, so the runs in between are copied as slices; only
-    coefficients at shared exponents are added and tested for zero.  The
+    An empty operand whose truncation is not below the other's is the
+    identity, and the other operand (negated for ``0 - y``) is returned as is.
+    Otherwise the merge walks the shorter operand and finds each of its
+    exponents in the longer one, so the runs in between are copied as slices;
+    only coefficients at shared exponents are added and tested for zero.  The
     result is cut at the smaller truncation.
     """
     x._like(y)
+    if not y.terms and (y.truncation.is_infinite or x.truncation <= y.truncation):
+        return x
+    if not x.terms and (x.truncation.is_infinite or y.truncation <= x.truncation):
+        return y.neg() if negate else y
     field = x.field
     ys = tuple(Term(field.neg(c), g) for c, g in y.terms) if negate else y.terms
     short, long = (x.terms, ys) if len(x.terms) <= len(ys) else (ys, x.terms)
+    n = len(long)
     out: list[Term] = []
     i = 0
     for term in short:
         g = term.exponent
-        j = bisect_left(long, g, i, key=_exponent)
+        # The correction loop's steady states settle the position without a
+        # search: the front term cancels, or the new term goes past the end.
+        if i == n or g <= long[i].exponent:
+            j = i
+        elif long[-1].exponent < g:
+            j = n
+        else:
+            j = bisect_left(long, g, i + 1, n - 1, key=_exponent)
         out += long[i:j]
-        if j < len(long) and long[j].exponent == g:
+        if j < n and long[j].exponent == g:
             c = field.add(term.coefficient, long[j].coefficient)
             if not field.is_zero(c):
                 out.append(Term(c, g))
@@ -266,7 +289,7 @@ class SeriesSpace(ValuedGroup):
 
     @property
     def zero(self) -> Series:
-        return Series(self.field, self.group, ())
+        return _trusted(self.field, self.group, (), INFINITY)
 
     def add(self, a: Series, b: Series) -> Series:
         return a.add(b)

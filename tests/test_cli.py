@@ -166,6 +166,20 @@ class TestCheck:
             assert code == 1, instance
             assert "FAIL" in out
 
+    @pytest.mark.parametrize(
+        "space",
+        [["--field", "prime:7"], ["--group", "rat"], ["--field", "prime:7", "--group", "rat"]],
+    )
+    def test_broken_instances_refuse_other_spaces(self, space):
+        # the broken fixtures exist over the rationals with int exponents
+        # only; running them elsewhere must not echo a config it ignores
+        for instance in ("broken-order", "broken-monotone", "broken-progress"):
+            code, out, err = run_cli(["check", "--instance", instance, *space])
+            assert code == 2, instance
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert instance in err
+
     def test_zero_samples_is_a_vacuous_pass(self):
         code, out, _ = run_cli(["check", "--samples", "0"])
         assert code == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 import hahnsolve as hs
+from hahnsolve import series as series_module
 
 from .conftest import QZ, F5Z, nonzero_exact_series
 
@@ -252,6 +253,42 @@ class TestSpanSubgroups:
         with pytest.raises(hs.NotPseudoDirect) as excinfo:
             hs.decompose([a1, a2], QZ.monomial(1, 1))
         assert "bounded search" in str(excinfo.value)
+
+    def test_grid_search_scales_without_normalising(self, monkeypatch):
+        # The cancelling pair span{1 + 2t^2}, span{3} plus three generators
+        # that add free directions: t^2 has no witness, so every grid
+        # candidate is tried, and each one scales all five generators.
+        # Scaling keeps the term order, so none of that may re-normalise.
+        subgroups = [
+            hs.SpanSubgroup("a1", (QZ.series([(1, 0), (2, 2)]),)),
+            hs.SpanSubgroup("a2", (QZ.monomial(3, 0),)),
+        ] + [
+            hs.SpanSubgroup(f"b{k}", (QZ.series([(k, 0), (5, 2 + k)]),))
+            for k in (1, 2, 3)
+        ]
+        scale, make_series = hs.Series.scale, series_module.make_series
+        scales = inside = normalised = 0
+
+        def counting_scale(s, c):
+            nonlocal scales, inside
+            scales += 1
+            inside += 1
+            try:
+                return scale(s, c)
+            finally:
+                inside -= 1
+
+        def counting_make_series(*args, **kwargs):
+            nonlocal normalised
+            normalised += inside > 0
+            return make_series(*args, **kwargs)
+
+        monkeypatch.setattr(hs.Series, "scale", counting_scale)
+        monkeypatch.setattr(series_module, "make_series", counting_make_series)
+        with pytest.raises(hs.NotPseudoDirect):
+            hs.decompose(subgroups, QZ.monomial(1, 2))
+        assert scales >= 5 * 7**3
+        assert normalised == 0
 
     def test_span_needs_exact_target(self):
         sub = hs.SpanSubgroup("line", (QZ.monomial(1, 1),))

@@ -86,6 +86,13 @@ class TestAdditiveStructure:
         assert s.terms == ()
         assert s.truncation == OV(5)
 
+    def test_non_canonical_scalar_drops_zero_products(self):
+        f7 = hs.SeriesSpace(hs.PrimeField(7), hs.INTEGERS)
+        s = f7.series([(1, 1), (3, 4)], OV(9))
+        assert s.scale(7) == f7.series([], OV(9))
+        assert s.scale(8) == s
+        assert _validated(s.scale(-7)) == f7.series([], OV(9))
+
     def test_cross_space_rejected(self):
         with pytest.raises(ValueError):
             QZ.series([(1, 1)]).add(F5Z.series([(1, 1)]))
@@ -159,6 +166,53 @@ class TestMergeMatchesNormaliser:
             "sub": x.sub(y),
             "neg": y.neg(),
             "truncate": x.truncate(alpha),
+        }
+        for name, result in got.items():
+            assert result == expected[name], name
+            assert _validated(result) == result, name
+
+
+@st.composite
+def identity_operands(draw):
+    """Two series over one space, often with empty support, and a scalar.
+
+    Truncations are exact or finite, independently.  The scalar is zero,
+    canonical, or a raw integer such as ``7`` over GF(7) that is not a
+    canonical field element.
+    """
+    space = draw(st.sampled_from(MERGE_SPACES))
+    elements = _group_elements(space.group)
+    pairs = st.lists(st.tuples(st.integers(-9, 9), elements), max_size=8)
+    cutoffs = st.one_of(st.just(INF), elements.map(OV))
+    x, y = (
+        space.series(draw(st.one_of(st.just([]), pairs)), draw(cutoffs))
+        for _ in range(2)
+    )
+    raw = st.sampled_from((7, -7, 14, 8, -1))
+    scalar = draw(st.one_of(st.just(0), raw, st.integers(-9, 9).map(space.field.coerce)))
+    return space, x, y, scalar
+
+
+class TestTrustedBuildersMatchNormaliser:
+    @given(identity_operands())
+    def test_scale_add_sub_zero(self, operands):
+        space, x, y, scalar = operands
+        field, group = space.field, space.group
+        cut = min(x.truncation, y.truncation)
+        negated_y = [(field.neg(c), g) for c, g in y.terms]
+        expected = {
+            "scale": hs.make_series(
+                field, group, [(field.mul(scalar, c), g) for c, g in x.terms], x.truncation
+            ),
+            "add": hs.make_series(field, group, x.terms + y.terms, cut),
+            "sub": hs.make_series(field, group, list(x.terms) + negated_y, cut),
+            "zero": hs.make_series(field, group, ()),
+        }
+        got = {
+            "scale": x.scale(scalar),
+            "add": x.add(y),
+            "sub": x.sub(y),
+            "zero": space.zero,
         }
         for name, result in got.items():
             assert result == expected[name], name

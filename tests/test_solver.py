@@ -251,6 +251,55 @@ class TestHypothesisChecks:
         assert "order not strictly preserved" in report.violations[0]
 
 
+def _all_pairs_audit(observed):
+    """Reference audit: every pair of (value, image), ascending by value."""
+    violations = []
+    for k, (v1, w1) in enumerate(observed):
+        for v2, w2 in observed[k + 1 :]:
+            lo, hi = ((v1, w1), (v2, w2)) if not v2 < v1 else ((v2, w2), (v1, w1))
+            if lo[0] == hi[0] and lo[1] != hi[1]:
+                violations.append(
+                    f"not well defined: value {lo[0]!r} maps to both {lo[1]!r} and {hi[1]!r}"
+                )
+            elif lo[0] < hi[0] and not lo[1] < hi[1]:
+                violations.append(
+                    f"order not strictly preserved: {lo[0]!r}<{hi[0]!r} but {lo[1]!r}>={hi[1]!r}"
+                )
+    return len(observed) * (len(observed) - 1) // 2, violations
+
+
+@st.composite
+def value_observations(draw):
+    """(value, image) pairs with tied values and top images.  The images are
+    arbitrary, or follow an order-preserving map with a few entries
+    overwritten, so that both verdicts are common."""
+    values = draw(st.lists(st.integers(-3, 3), max_size=12))
+    image = st.one_of(st.none(), st.integers(-7, 7))
+    if draw(st.booleans()):
+        images = draw(st.lists(image, min_size=len(values), max_size=len(values)))
+    else:
+        images = [2 * v + 1 if v < 3 else None for v in values]
+        for k in draw(st.lists(st.integers(0, max(len(values) - 1, 0)), max_size=3)):
+            if values:
+                images[k] = draw(image)
+    return [(OV(v), INF if w is None else OV(w)) for v, w in zip(values, images)]
+
+
+class TestPairAudit:
+    @given(value_observations())
+    def test_matches_the_all_pairs_reference(self, observed):
+        # each sample's coefficient keys its image, so tied values may differ
+        samples = [QZ.monomial(k + 1, v.finite) for k, (v, _) in enumerate(observed)]
+        images = {Fraction(k + 1): w for k, (_, w) in enumerate(observed)}
+
+        def apply(s):
+            w = images[s.leading_term().coefficient]
+            return QZ.zero if w.is_infinite else QZ.monomial(1, w.finite)
+
+        report = hs.check_value_map_order(hs.HomomorphismSpec(QZ, QZ, apply), samples)
+        assert (report.checked, list(report.violations)) == _all_pairs_audit(observed)
+
+
 class TestBallTransport:
     def test_image_ball_moves_radius_through_value_map(self, ddt_parts):
         spec, _, vmap = ddt_parts
