@@ -110,9 +110,7 @@ class Series:
     # -- arithmetic --------------------------------------------------------
 
     def _like(self, other: "Series") -> None:
-        if (self.field is not other.field and self.field != other.field) or (
-            self.group is not other.group and self.group != other.group
-        ):
+        if self.field != other.field or self.group != other.group:
             raise ValueError("series live over different fields or value groups")
 
     def add(self, other: "Series") -> "Series":
@@ -133,8 +131,6 @@ class Series:
         """``c`` times the series: the term order is kept and zero products
         dropped, which a non-canonical scalar such as ``7`` over GF(7) makes."""
         field = self.field
-        if field.is_zero(c):
-            return _trusted(field, self.group, (), self.truncation)
         products = (Term(field.mul(c, a), g) for a, g in self.terms)
         return _trusted(
             field,
@@ -241,9 +237,9 @@ def _merge(x: Series, y: Series, negate: bool) -> Series:
     An empty operand whose truncation is not below the other's is the
     identity, and the other operand (negated for ``0 - y``) is returned as is.
     Otherwise the merge walks the shorter operand and finds each of its
-    exponents in the longer one, so the runs in between are copied as slices;
-    only coefficients at shared exponents are added and tested for zero.  The
-    result is cut at the smaller truncation.
+    exponents in the longer one by bisection, so the runs in between are
+    copied as slices; only coefficients at shared exponents are added and
+    tested for zero.  The result is cut at the smaller truncation.
     """
     x._like(y)
     if not y.terms and (y.truncation.is_infinite or x.truncation <= y.truncation):
@@ -253,21 +249,13 @@ def _merge(x: Series, y: Series, negate: bool) -> Series:
     field = x.field
     ys = tuple(Term(field.neg(c), g) for c, g in y.terms) if negate else y.terms
     short, long = (x.terms, ys) if len(x.terms) <= len(ys) else (ys, x.terms)
-    n = len(long)
     out: list[Term] = []
     i = 0
     for term in short:
         g = term.exponent
-        # The correction loop's steady states settle the position without a
-        # search: the front term cancels, or the new term goes past the end.
-        if i == n or g <= long[i].exponent:
-            j = i
-        elif long[-1].exponent < g:
-            j = n
-        else:
-            j = bisect_left(long, g, i + 1, n - 1, key=_exponent)
+        j = bisect_left(long, g, i, key=_exponent)
         out += long[i:j]
-        if j < n and long[j].exponent == g:
+        if j < len(long) and long[j].exponent == g:
             c = field.add(term.coefficient, long[j].coefficient)
             if not field.is_zero(c):
                 out.append(Term(c, g))
