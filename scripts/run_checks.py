@@ -2,9 +2,13 @@
 """Run every named check instance and confirm the checks have teeth.
 
 The honest instances must pass every hypothesis check.  Each deliberately
-broken instance must fail exactly the check it was built to violate and
-pass the rest.  The exit code is zero only when both halves hold, so this
-doubles as a quick calibration that a refactor has not silenced a check.
+broken instance must fail the check it was built to violate and pass the
+rest, except that ``broken-order`` may also fail ``value_monotonicity``: a
+sampled section element whose ``t^2`` and ``t^3`` coefficients cancel
+collapses under its relabelling and genuinely breaks value transfer (seed
+2016045923 with 60 samples draws one).  The exit code is zero only when both
+halves hold, so this doubles as a quick calibration that a refactor has not
+silenced a check.
 """
 
 import argparse
@@ -17,6 +21,7 @@ EXPECTED_FAILURE = {
     "broken-monotone": "value_monotonicity",
     "broken-progress": "section_progress",
 }
+MAY_ALSO_FAIL = {"broken-order": {"value_monotonicity"}}
 
 
 def run_one(name: str, seed: int, samples: int, verbose: bool) -> bool:
@@ -24,7 +29,8 @@ def run_one(name: str, seed: int, samples: int, verbose: bool) -> bool:
     reports = run_instance_checks(instance, seed=seed, samples=samples)
     failing = {r.name for r in reports if not r.ok}
     expected = EXPECTED_FAILURE.get(name)
-    ok = failing == ({expected} if expected else set())
+    tolerated = MAY_ALSO_FAIL.get(name, set())
+    ok = failing - tolerated == ({expected} if expected else set())
 
     verdict = "ok" if ok else "UNEXPECTED"
     intent = f"should fail {expected}" if expected else "should pass all"

@@ -71,7 +71,7 @@ def _unit_for(group: ValueGroup) -> GroupElement:
         return 1
     if group == RATIONALS:
         return Fraction(1)
-    raise ValueError(f"derivation needs integer or rational exponents, got {group!r}")
+    raise ParseError(f"derivation needs integer or rational exponents, got {group!r}")
 
 
 def ddt(field: CoefficientField, group: ValueGroup) -> TermwiseDerivation:

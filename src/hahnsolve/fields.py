@@ -166,6 +166,8 @@ class PrimeField(CoefficientField):
 
     def coerce(self, n):
         if isinstance(n, Fraction):
+            if n.denominator % self.p == 0:
+                raise ZeroDivisionError(f"{n} has no image in {self.name}")
             return self.div(n.numerator % self.p, n.denominator % self.p)
         return n % self.p
 

@@ -1,14 +1,13 @@
 """Named check instances: honest built-ins and deliberately broken oracles.
 
-Each instance bundles a homomorphism, its correction section, optionally a
-claimed value map and derivation data, and seeded samplers tuned so that every
-hypothesis check receives samples satisfying its preconditions.  The broken
-instances exist to prove the checks have teeth: each one targets one
-hypothesis, with deterministic canary samples that trip the intended check
-regardless of seed.  ``broken-monotone`` and ``broken-progress`` pass every
-other check; ``broken-order`` also fails ``value_monotonicity`` at seeds that
-draw a sample whose ``t^2`` and ``t^3`` coefficients cancel (see
-``_broken_order``).
+Each instance bundles a homomorphism, its correction section, optionally
+derivation data, and seeded samplers tuned so that every hypothesis check
+receives samples satisfying its preconditions.  The broken instances exist to
+prove the checks have teeth: each one targets one hypothesis, with
+deterministic canary samples that trip the intended check regardless of seed.
+``broken-monotone`` and ``broken-progress`` pass every other check;
+``broken-order`` also fails ``value_monotonicity`` at seeds that draw a sample
+whose ``t^2`` and ``t^3`` coefficients cancel (see ``_broken_order``).
 
     euler            honest t*d/dt integration instance
     ddt              honest d/dt instance (targets avoid the obstructed exponent)
@@ -35,12 +34,11 @@ from .differential import (
 from .errors import ParseError
 from .fields import QQ, CoefficientField
 from .reporting import CheckReport
-from .sampling import random_series
+from .sampling import Forbid, random_series
 from .series import Series, SeriesSpace, make_series
 from .solver import (
     AsymptoticSection,
     HomomorphismSpec,
-    ValueMap,
     check_section_progress,
     check_value_map_order,
     check_value_monotonicity,
@@ -55,7 +53,11 @@ PairSampler = Callable[[random.Random, int], list[tuple]]
 
 @dataclass(frozen=True)
 class CheckInstance:
-    """A named instance plus the samplers its hypothesis checks need."""
+    """A named instance plus the samplers its hypothesis checks need.
+
+    ``dspec`` is set on the honest derivation instances, which also get the
+    value-map, injectivity and derivation checks.
+    """
 
     name: str
     description: str
@@ -64,85 +66,81 @@ class CheckInstance:
     sample_sections: Sampler
     sample_pairs: PairSampler
     sample_targets: Sampler
-    value_map: ValueMap | None = None
     dspec: DifferentialFieldSpec | None = None
-    sample_small: PairSampler | None = None
-    sample_nonzero_values: PairSampler | None = None
 
 
-def _differential_samplers(dspec: DifferentialFieldSpec):
-    space = dspec.space
-    derivation = dspec.derivation
-    zero = dspec.group.zero
+def _samplers(
+    space: SeriesSpace,
+    section_forbid: Forbid,
+    target_forbid: Forbid,
+    pair_forbid: Forbid = None,
+    canaries: tuple[Series, ...] = (),
+    canary_pairs: tuple[tuple[Series, Series], ...] = (),
+) -> tuple[Sampler, PairSampler, Sampler]:
+    """Series of up to six terms on [-10, 10]; canaries first, then random draws.
 
-    def not_in_subset(g):
-        return g == zero or dspec.field.is_zero(derivation.scale(g))
+    A pair is ``(a, s)`` with ``a`` possibly zero and ``s`` a nonzero section
+    sample.
+    """
 
-    def unsolvable(g):
-        return derivation.shift_inverse(g) is None
+    def draw(rng, forbid, nonzero=True):
+        return random_series(rng, space, -10, 10, 6, nonzero=nonzero, forbid=forbid)
 
     def sections(rng, n):
-        return [
-            random_series(rng, space, -10, 10, 6, nonzero=True, forbid=not_in_subset)
-            for _ in range(n)
-        ]
+        rest = [draw(rng, section_forbid) for _ in range(max(0, n - len(canaries)))]
+        return (list(canaries) + rest)[:n]
 
     def pairs(rng, n):
-        return [
-            (
-                random_series(rng, space, -10, 10, 6),
-                random_series(rng, space, -10, 10, 6, nonzero=True, forbid=not_in_subset),
-            )
-            for _ in range(n)
+        rest = [
+            (draw(rng, pair_forbid, nonzero=False), draw(rng, section_forbid))
+            for _ in range(max(0, n - len(canary_pairs)))
         ]
+        return (list(canary_pairs) + rest)[:n]
 
     def targets(rng, n):
-        return [
-            random_series(rng, space, -10, 10, 6, nonzero=True, forbid=unsolvable)
-            for _ in range(n)
-        ]
+        return [draw(rng, target_forbid) for _ in range(n)]
 
-    def small(rng, n):
-        # numerator samples have value >= 0, denominators strictly positive
-        # with surviving derivatives, as the check's hypothesis demands
-        return [
-            (
-                random_series(rng, space, 0, 10, 5),
-                random_series(rng, space, 1, 10, 5, nonzero=True, forbid=not_in_subset),
-            )
-            for _ in range(n)
-        ]
-
-    def nonzero_values(rng, n):
-        return [
-            (
-                random_series(rng, space, -10, 10, 5, nonzero=True, forbid=not_in_subset),
-                random_series(rng, space, -10, 10, 5, nonzero=True, forbid=not_in_subset),
-            )
-            for _ in range(n)
-        ]
-
-    return sections, pairs, targets, small, nonzero_values
+    return sections, pairs, targets
 
 
-def _differential_instance(
-    name: str, dspec: DifferentialFieldSpec, description: str
-) -> CheckInstance:
-    spec, section, value_map = integration_instance(dspec)
-    sections, pairs, targets, small, nonzero_values = _differential_samplers(dspec)
-    return CheckInstance(
-        name=name,
-        description=description,
-        spec=spec,
-        section=section,
-        sample_sections=sections,
-        sample_pairs=pairs,
-        sample_targets=targets,
-        value_map=value_map,
-        dspec=dspec,
-        sample_small=small,
-        sample_nonzero_values=nonzero_values,
-    )
+def _not_in_subset(dspec: DifferentialFieldSpec) -> Callable:
+    """Exponents outside the section's subset: zero, and where ``d`` vanishes."""
+    zero = dspec.group.zero
+    return lambda g: g == zero or dspec.field.is_zero(dspec.derivation.scale(g))
+
+
+def _derivation_samplers(dspec: DifferentialFieldSpec):
+    unsolvable = lambda g: dspec.derivation.shift_inverse(g) is None
+    return _samplers(dspec.space, _not_in_subset(dspec), unsolvable)
+
+
+def _small_pairs(rng: random.Random, dspec: DifferentialFieldSpec, n: int) -> list[tuple]:
+    # numerator samples have value >= 0, denominators strictly positive
+    # with surviving derivatives, as the check's hypothesis demands
+    space, outside = dspec.space, _not_in_subset(dspec)
+    return [
+        (
+            random_series(rng, space, 0, 10, 5),
+            random_series(rng, space, 1, 10, 5, nonzero=True, forbid=outside),
+        )
+        for _ in range(n)
+    ]
+
+
+def _nonzero_value_pairs(rng: random.Random, dspec: DifferentialFieldSpec, n: int):
+    space, outside = dspec.space, _not_in_subset(dspec)
+    draw = lambda: random_series(rng, space, -10, 10, 5, nonzero=True, forbid=outside)
+    return [(draw(), draw()) for _ in range(n)]
+
+
+def _honest(name: str, derivation, description: str):
+    def build(field: CoefficientField, group: ValueGroup) -> CheckInstance:
+        dspec = DifferentialFieldSpec(field, group, derivation(field, group))
+        spec, section, _value_map = integration_instance(dspec)
+        samplers = _derivation_samplers(dspec)
+        return CheckInstance(name, description, spec, section, *samplers, dspec=dspec)
+
+    return build
 
 
 def _termwise_hom(space: SeriesSpace, scale, shift) -> HomomorphismSpec:
@@ -166,43 +164,18 @@ def _broken_order(field: CoefficientField, group: ValueGroup) -> CheckInstance:
     """
     space = SeriesSpace(field, group)
     relabel = lambda g: 3 if g in (2, 3) else g
-    spec = _termwise_hom(space, lambda g: field.one, relabel)
 
     def section(b: Series) -> Series:
         c, g = b.leading_term()
         return space.monomial(c, 2 if g == 3 else g)
 
-    def sections(rng, n):
-        canaries = [space.monomial(1, 2), space.monomial(1, 3)]
-        rest = [
-            random_series(rng, space, -10, 10, 6, nonzero=True, forbid={0})
-            for _ in range(max(0, n - len(canaries)))
-        ]
-        return canaries[:n] + rest
-
-    def pairs(rng, n):
-        return [
-            (
-                random_series(rng, space, -10, 10, 6),
-                random_series(rng, space, -10, 10, 6, nonzero=True, forbid={0}),
-            )
-            for _ in range(n)
-        ]
-
-    def targets(rng, n):
-        return [
-            random_series(rng, space, -10, 10, 6, nonzero=True, forbid={0, 2})
-            for _ in range(n)
-        ]
-
+    canaries = (space.monomial(1, 2), space.monomial(1, 3))
     return CheckInstance(
-        name="broken-order",
-        description="induced value map collapses values 2 and 3",
-        spec=spec,
-        section=AsymptoticSection(section=section, contains=has_no_constant_term),
-        sample_sections=sections,
-        sample_pairs=pairs,
-        sample_targets=targets,
+        "broken-order",
+        "induced value map collapses values 2 and 3",
+        _termwise_hom(space, lambda g: field.one, relabel),
+        AsymptoticSection(section=section, contains=has_no_constant_term),
+        *_samplers(space, {0}, {0, 2}, canaries=canaries),
     )
 
 
@@ -216,43 +189,18 @@ def _broken_monotone(field: CoefficientField, group: ValueGroup) -> CheckInstanc
     space = SeriesSpace(field, group)
     scale = lambda g: field.one if g == 0 else field.coerce(g)
     shift = lambda g: -10 if g == 0 else g
-    spec = _termwise_hom(space, scale, shift)
 
     def section(b: Series) -> Series:
         c, g = b.leading_term()
         return space.monomial(field.div(c, field.coerce(g)), g)
 
-    def sections(rng, n):
-        return [
-            random_series(rng, space, -10, 10, 6, nonzero=True, forbid={0})
-            for _ in range(n)
-        ]
-
-    def pairs(rng, n):
-        canary = (space.monomial(5, 0), space.monomial(1, -1))
-        rest = [
-            (
-                random_series(rng, space, -10, 10, 6, forbid={0}),
-                random_series(rng, space, -10, 10, 6, nonzero=True, forbid={0}),
-            )
-            for _ in range(max(0, n - 1))
-        ]
-        return ([canary] + rest)[:n]
-
-    def targets(rng, n):
-        return [
-            random_series(rng, space, -10, 10, 6, nonzero=True, forbid={0})
-            for _ in range(n)
-        ]
-
+    canary = (space.monomial(5, 0), space.monomial(1, -1))
     return CheckInstance(
-        name="broken-monotone",
-        description="constants map far down, breaking value comparison transfer",
-        spec=spec,
-        section=AsymptoticSection(section=section, contains=has_no_constant_term),
-        sample_sections=sections,
-        sample_pairs=pairs,
-        sample_targets=targets,
+        "broken-monotone",
+        "constants map far down, breaking value comparison transfer",
+        _termwise_hom(space, scale, shift),
+        AsymptoticSection(section=section, contains=has_no_constant_term),
+        *_samplers(space, {0}, {0}, pair_forbid={0}, canary_pairs=(canary,)),
     )
 
 
@@ -263,27 +211,25 @@ def _broken_progress(field: CoefficientField, group: ValueGroup) -> CheckInstanc
     every target while the order and comparison checks still pass.
     """
     dspec = DifferentialFieldSpec(field, group, euler(field, group))
-    spec, _honest, _vm = integration_instance(dspec)
-    space = dspec.space
+    spec, _honest_section, _value_map = integration_instance(dspec)
     two = field.coerce(2)
 
     def section(b: Series) -> Series:
         c, g = b.leading_term()
-        return space.monomial(field.div(c, field.mul(two, field.coerce(g))), g)
+        return dspec.space.monomial(field.div(c, field.mul(two, field.coerce(g))), g)
 
-    sections, pairs, targets, _small, _nzv = _differential_samplers(dspec)
     return CheckInstance(
-        name="broken-progress",
-        description="section corrects only half of each leading term",
-        spec=spec,
-        section=AsymptoticSection(section=section, contains=has_no_constant_term),
-        sample_sections=sections,
-        sample_pairs=pairs,
-        sample_targets=targets,
+        "broken-progress",
+        "section corrects only half of each leading term",
+        spec,
+        AsymptoticSection(section=section, contains=has_no_constant_term),
+        *_derivation_samplers(dspec),
     )
 
 
-_BROKEN = {
+_INSTANCES = {
+    "euler": _honest("euler", euler, "t*d/dt on exact series"),
+    "ddt": _honest("ddt", ddt, "d/dt on exact series"),
     "broken-order": _broken_order,
     "broken-monotone": _broken_monotone,
     "broken-progress": _broken_progress,
@@ -295,24 +241,18 @@ def build_instance(
 ) -> CheckInstance:
     """The named fixture; the ``broken-*`` ones exist over QQ with ``int``
     exponents only and refuse any other field or group with ``ParseError``."""
-    if name == "euler":
-        dspec = DifferentialFieldSpec(field, group, euler(field, group))
-        return _differential_instance("euler", dspec, "t*d/dt on exact series")
-    if name == "ddt":
-        dspec = DifferentialFieldSpec(field, group, ddt(field, group))
-        return _differential_instance("ddt", dspec, "d/dt on exact series")
-    if name in _BROKEN:
-        if (field, group) != (QQ, INTEGERS):
-            raise ParseError(
-                f"instance {name!r} is defined over {QQ.name} with {INTEGERS.name} "
-                f"exponents only, not {field.name} with {group.name}"
-            )
-        return _BROKEN[name](field, group)
-    raise ValueError(f"unknown check instance {name!r} (choose from {instance_names()})")
+    if name not in _INSTANCES:
+        raise ValueError(f"unknown check instance {name!r} (choose from {instance_names()})")
+    if name.startswith("broken-") and (field, group) != (QQ, INTEGERS):
+        raise ParseError(
+            f"instance {name!r} is defined over {QQ.name} with {INTEGERS.name} "
+            f"exponents only, not {field.name} with {group.name}"
+        )
+    return _INSTANCES[name](field, group)
 
 
 def instance_names() -> list[str]:
-    return ["euler", "ddt", "broken-order", "broken-monotone", "broken-progress"]
+    return list(_INSTANCES)
 
 
 def run_instance_checks(
@@ -327,26 +267,17 @@ def run_instance_checks(
             instance.spec, instance.section, instance.sample_targets(rng, samples)
         ),
     ]
-    if instance.value_map is not None:
+    dspec = instance.dspec
+    if dspec is not None:
+        _spec, _section, value_map = integration_instance(dspec)
         reports.append(
-            verify_value_map(
-                instance.value_map, instance.spec, instance.sample_sections(rng, samples)
-            )
+            verify_value_map(value_map, instance.spec, instance.sample_sections(rng, samples))
         )
         elements = instance.sample_sections(rng, samples)
         injec_pairs = list(zip(elements[::2], elements[1::2]))
         reports.append(verify_section_injectivity(instance.spec, injec_pairs))
-    if instance.dspec is not None:
-        if instance.sample_small is not None:
-            reports.append(
-                check_differential_valuation(
-                    instance.dspec, instance.sample_small(rng, samples)
-                )
-            )
-        if instance.sample_nonzero_values is not None:
-            reports.append(
-                check_derivative_monotonicity(
-                    instance.dspec, instance.sample_nonzero_values(rng, samples)
-                )
-            )
+        reports.append(check_differential_valuation(dspec, _small_pairs(rng, dspec, samples)))
+        reports.append(
+            check_derivative_monotonicity(dspec, _nonzero_value_pairs(rng, dspec, samples))
+        )
     return reports

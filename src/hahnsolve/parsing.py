@@ -119,11 +119,15 @@ def series_from_json_dict(field: CoefficientField, group: ValueGroup, data: dict
         raw_trunc = data["truncation"]
     except (TypeError, KeyError) as e:
         raise ParseError(f"series JSON needs 'terms' and 'truncation': {e}") from None
+    if not isinstance(raw_terms, list) or not isinstance(raw_trunc, str):
+        raise ParseError("series JSON needs a list of terms and a string truncation")
     truncation = INFINITY if raw_trunc == "inf" else OrderedValue(group.parse(raw_trunc))
     terms = []
     for entry in raw_terms:
-        if len(entry) != 2:
-            raise ParseError(f"series JSON term must be [coeff, exp], got {entry!r}")
+        if not isinstance(entry, list) or len(entry) != 2 or not all(
+            isinstance(x, str) for x in entry
+        ):
+            raise ParseError(f"series JSON term must be [coeff, exp] strings, got {entry!r}")
         terms.append((field.parse(entry[0]), group.parse(entry[1])))
     return make_series(field, group, terms, truncation)
 

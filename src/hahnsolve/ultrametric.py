@@ -12,7 +12,6 @@ balls are either nested or disjoint.
 
 from __future__ import annotations
 
-import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -108,25 +107,12 @@ def check_ultrametric(
     return CheckReport(name="ultrametric", checked=checked, violations=tuple(violations))
 
 
-def _ball_order(x: Ball, y: Ball) -> int:
-    """-1 when x strictly contains y; raises on incomparable balls."""
-    xy = x.subset(y)
-    yx = y.subset(x)
-    if xy and yx:
-        return 0
-    if yx:
-        return -1
-    if xy:
-        return 1
-    raise InvalidNest("balls are neither nested nor equal")
-
-
 @dataclass(frozen=True)
 class Nest:
     """A finite chain of balls, totally ordered by inclusion.
 
     Stored largest first, so the last ball is the smallest.  Construction
-    validates every pair and raises ``InvalidNest`` if any two balls fail to
+    sorts the balls by radius and raises ``InvalidNest`` if any two fail to
     nest.
     """
 
@@ -135,7 +121,13 @@ class Nest:
     def __post_init__(self):
         if not self.balls:
             raise InvalidNest("a nest needs at least one ball")
-        ordered = sorted(self.balls, key=functools.cmp_to_key(_ball_order))
+        # in an ultrametric space two balls meet only if one contains the
+        # other, so sorted by radius they nest exactly when each contains
+        # the next one's center
+        ordered = sorted(self.balls, key=lambda b: b.radius)
+        for outer, inner in zip(ordered, ordered[1:]):
+            if not outer.contains(inner.center):
+                raise InvalidNest("balls are neither nested nor equal")
         object.__setattr__(self, "balls", tuple(ordered))
 
     @property

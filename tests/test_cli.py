@@ -243,3 +243,18 @@ class TestArgumentErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integrate", "--group", "lex2", "t^(1,2)"],
+            ["check", "--instance", "euler", "--group", "lex2", "--samples", "3"],
+        ],
+    )
+    def test_derivation_on_lex2_exits_two(self, argv):
+        # the built-in derivations need int or rat exponents
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "integer or rational exponents" in err

@@ -61,6 +61,12 @@ class TestPrimeField:
         with pytest.raises(hs.ParseError):
             f.parse("1/7")
 
+    def test_coerce_names_a_fraction_without_image(self):
+        f = hs.PrimeField(3)
+        with pytest.raises(ZeroDivisionError, match=r"^1/3 has no image in gf\(3\)$"):
+            f.coerce(Fraction(1, 3))
+        assert f.coerce(Fraction(3, 2)) == 0
+
     @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
     def test_field_axioms_sampled(self, a, b, c):
         f = hs.PrimeField(13)

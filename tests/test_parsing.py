@@ -124,6 +124,18 @@ class TestJson:
         with pytest.raises(hs.ParseError):
             hs.series_from_json_dict(hs.QQ, hs.INTEGERS, {"truncation": "inf"})
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"terms": [], "truncation": 5}',
+            '{"terms": [[1, 2]], "truncation": "inf"}',
+            '{"terms": 5, "truncation": "inf"}',
+        ],
+    )
+    def test_wrong_shape_json_is_a_parse_error(self, text):
+        with pytest.raises(hs.ParseError):
+            hs.series_from_json(hs.QQ, hs.INTEGERS, text)
+
     @given(truncated_series())
     def test_json_round_trip_property(self, s):
         assert hs.series_from_json(hs.QQ, hs.INTEGERS, hs.series_to_json(s)) == s
