@@ -240,9 +240,10 @@ def build_instance(
     name: str, field: CoefficientField = QQ, group: ValueGroup = INTEGERS
 ) -> CheckInstance:
     """The named fixture; the ``broken-*`` ones exist over QQ with ``int``
-    exponents only and refuse any other field or group with ``ParseError``."""
+    exponents only.  An unknown name, or a ``broken-*`` one over any other
+    field or group, is refused with ``ParseError``."""
     if name not in _INSTANCES:
-        raise ValueError(f"unknown check instance {name!r} (choose from {instance_names()})")
+        raise ParseError(f"unknown check instance {name!r} (choose from {instance_names()})")
     if name.startswith("broken-") and (field, group) != (QQ, INTEGERS):
         raise ParseError(
             f"instance {name!r} is defined over {QQ.name} with {INTEGERS.name} "

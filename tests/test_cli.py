@@ -140,7 +140,21 @@ class TestDecompose:
             ["decompose", "--parts", "span:{1 + t^1},span:{1}", "t^1"]
         )
         assert code == 3
-        assert "unique cancelling combination" in err
+        assert "no span combination is a witness" in err
+
+    def test_span_witness_is_found_exactly(self):
+        # the whole target goes to the third span; the first two could only
+        # reach t^1 by cancelling at t^0
+        code, out, _ = run_cli(
+            ["decompose", "--parts", "span:{1 + t^1},span:{-1},span:{t^1}", "5*t^1"]
+        )
+        assert code == 0
+        assert out.splitlines()[:4] == [
+            "part span:{1 + t^1}: 0",
+            "part span:{-1}: 0",
+            "part span:{t^1}: 5*t^1",
+            "witness: pass",
+        ]
 
     def test_set_pattern_commas_stay_inside_braces(self):
         code, out, _ = run_cli(["decompose", "--parts", "set:{1,2},odd", "t^1 + t^3"])
@@ -187,7 +201,7 @@ class TestCheck:
 
     def test_unknown_instance(self):
         code, _, err = run_cli(["check", "--instance", "nonesuch"])
-        assert code == 1
+        assert code == 2
         assert "nonesuch" in err
 
     def test_json_reports(self):
@@ -236,13 +250,16 @@ class TestArgumentErrors:
             ["integrate", "--max-iter", "0", "t^1"],
             ["check", "--samples", "-3"],
             ["decompose", "--group", "lex2", "--parts", "even,odd", "t^(1,2)"],
+            ["check", "--instance", "nope"],
+            ["decompose", "--parts", "even,span:{t^1}", "t^1"],
+            ["decompose", "--parts", "span:{t^1 + O(2)}", "t^1"],
         ],
     )
     def test_parse_errors_exit_two(self, argv):
         code, out, err = run_cli(argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,8 @@
 """Pseudo-direct witnesses, product groups, decomposition, span systems."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -224,7 +226,7 @@ class TestSpanSubgroups:
         a2 = hs.SpanSubgroup("a2", (QZ.monomial(1, 0),))
         with pytest.raises(hs.NotPseudoDirect) as excinfo:
             hs.decompose([a1, a2], QZ.monomial(1, 1))
-        assert "unique cancelling combination" in str(excinfo.value)
+        assert "no span combination is a witness" in str(excinfo.value)
 
     def test_unreachable_leading_part(self):
         sub = hs.SpanSubgroup("high", (QZ.monomial(1, 2),))
@@ -232,9 +234,9 @@ class TestSpanSubgroups:
             hs.decompose([sub], QZ.monomial(1, 1))
         assert "no span combination" in str(excinfo.value)
 
-    def test_free_direction_found_by_grid_search(self):
-        # the pivot solution puts value-0 mass in both components; the integer
-        # offset k = -1 along the nullspace moves everything into the second
+    def test_generators_may_cancel_inside_one_subgroup(self):
+        # (1 + t) - (1 - t) = 2t cancels at t^0 inside the second subgroup,
+        # which leaves that component of value 1: everything goes there
         a1 = hs.SpanSubgroup("a1", (QZ.monomial(1, 0),))
         a2 = hs.SpanSubgroup(
             "a2", (QZ.series([(1, 0), (1, 1)]), QZ.series([(1, 0), (-1, 1)]))
@@ -243,29 +245,38 @@ class TestSpanSubgroups:
         assert parts.components[0] == QZ.zero
         assert parts.components[1] == QZ.monomial(2, 1)
 
-    def test_bounded_search_reports_honestly(self):
-        # the witness needs the fractional offset k = -1/2, outside the
-        # integer grid, so the verdict must carry the bounded-search caveat
+    def test_fractional_coefficients_give_the_witness(self):
+        # t = (1/2)(1 + t) - (1/2)(1 - t): the witness (0, t) needs the
+        # coefficients 1/2 and -1/2, which no integer offset reaches
         a1 = hs.SpanSubgroup("a1", (QZ.monomial(1, 0),))
         a2 = hs.SpanSubgroup(
             "a2", (QZ.series([(1, 0), (1, 1)]), QZ.series([(1, 0), (-1, 1)]))
         )
-        with pytest.raises(hs.NotPseudoDirect) as excinfo:
-            hs.decompose([a1, a2], QZ.monomial(1, 1))
-        assert "bounded search" in str(excinfo.value)
+        a = QZ.monomial(1, 1)
+        parts = hs.decompose([a1, a2], a)
+        assert parts.components == (QZ.zero, a)
+        assert hs.check_pseudo_direct_witness(a, parts)
 
-    def test_grid_search_scales_without_normalising(self, monkeypatch):
-        # The cancelling pair span{1 + 2t^2}, span{3} plus three generators
-        # that add free directions: t^2 has no witness, so every grid
-        # candidate is tried, and each one scales all five generators.
-        # Scaling keeps the term order, so none of that may re-normalise.
-        subgroups = [
-            hs.SpanSubgroup("a1", (QZ.series([(1, 0), (2, 2)]),)),
-            hs.SpanSubgroup("a2", (QZ.monomial(3, 0),)),
-        ] + [
-            hs.SpanSubgroup(f"b{k}", (QZ.series([(k, 0), (5, 2 + k)]),))
-            for k in (1, 2, 3)
+    def test_span_section_scales_without_normalising(self, monkeypatch):
+        # Three spans with five generators, the target a combination of all
+        # of them: every correction step scales each generator by its
+        # solved coefficient.  Scaling keeps the term order, so none of
+        # that may re-normalise.
+        gens = [
+            QZ.series([(1, 0), (2, 2)]),
+            QZ.series([(3, 1), (1, 4)]),
+            QZ.series([(1, 2), (5, 3)]),
+            QZ.series([(2, 3), (-1, 5)]),
+            QZ.series([(1, 5), (1, 6)]),
         ]
+        subgroups = [
+            hs.SpanSubgroup("a1", tuple(gens[:1])),
+            hs.SpanSubgroup("a2", tuple(gens[1:3])),
+            hs.SpanSubgroup("a3", tuple(gens[3:])),
+        ]
+        a = QZ.zero
+        for k, u in enumerate(gens, start=1):
+            a = a.add(u.scale(Fraction(k)))
         scale, make_series = hs.Series.scale, series_module.make_series
         scales = inside = normalised = 0
 
@@ -285,15 +296,67 @@ class TestSpanSubgroups:
 
         monkeypatch.setattr(hs.Series, "scale", counting_scale)
         monkeypatch.setattr(series_module, "make_series", counting_make_series)
-        with pytest.raises(hs.NotPseudoDirect):
-            hs.decompose(subgroups, QZ.monomial(1, 2))
-        assert scales >= 5 * 7**3
+        parts = hs.decompose(subgroups, a)
+        assert hs.sum_map(parts) == a
+        assert scales >= len(gens)
         assert normalised == 0
 
     def test_span_needs_exact_target(self):
         sub = hs.SpanSubgroup("line", (QZ.monomial(1, 1),))
         with pytest.raises(ValueError):
             hs.decompose([sub], QZ.series([(1, 1)], OV(5)))
+
+
+class TestSpanRefusalIsAProof:
+    """The span section against every coefficient vector of small spans."""
+
+    @pytest.mark.parametrize("p", [2, 3, 11])
+    def test_refuses_exactly_when_no_vector_is_a_witness(self, p):
+        # at this seed two GF(11) cases have witnesses only at nullspace
+        # offsets outside [-3, 3], which a bounded integer search misses
+        rng = random.Random(12)
+        space = hs.SeriesSpace(hs.PrimeField(p), hs.INTEGERS)
+
+        def draw():
+            # a nonzero exact series supported on [0, 3]
+            while True:
+                s = space.series(
+                    [(rng.randrange(1, p), e) for e in range(4) if rng.random() < 0.75]
+                )
+                if s.terms:
+                    return s
+
+        refusals = 0
+        for _ in range(100):
+            subgroups = [
+                hs.SpanSubgroup(f"s{i}", tuple(draw() for _ in range(rng.randint(1, 2))))
+                for i in range(rng.randint(1, 2))
+            ]
+            if rng.random() < 0.5:
+                a = space.monomial(rng.randrange(1, p), rng.randrange(4))
+            else:
+                a = draw()
+            try:
+                parts = hs.pseudo_direct_section(subgroups, a)
+            except hs.NotPseudoDirect:
+                refusals += 1
+                # every element of each span, one per coefficient vector
+                spans = [
+                    {
+                        hs.sum_map(tup(*(u.scale(x) for u, x in zip(sub.generators, xs))))
+                        for xs in product(range(p), repeat=len(sub.generators))
+                    }
+                    for sub in subgroups
+                ]
+                assert not any(
+                    hs.check_pseudo_direct_witness(a, tup(*t)) for t in product(*spans)
+                ), (a, [sub.generators for sub in subgroups])
+                continue
+            assert hs.check_pseudo_direct_witness(a, parts)
+            assert all(
+                sub.contains_series(s) for sub, s in zip(subgroups, parts.components)
+            )
+        assert 0 < refusals < 100
 
 
 class TestNestAssembly:
