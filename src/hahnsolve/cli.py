@@ -26,9 +26,9 @@ from .errors import (
     ParseError,
     SectionFailure,
 )
-from .fields import CoefficientField, field_by_name
+from .fields import CoefficientField, _split_top_level, field_by_name
 from .fixtures import build_instance, instance_names, run_instance_checks
-from .parsing import _split_top_level, parse_series, series_to_json_dict, series_to_text
+from .parsing import parse_series, series_to_json_dict, series_to_text
 from .pseudo_direct import (
     ProductElement,
     check_pseudo_direct_witness,

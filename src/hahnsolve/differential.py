@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import AmbiguousShift, Obstruction, ParseError, UnmappedValue
-from .fields import CoefficientField, FieldElement
+from .fields import CoefficientField, FieldElement, _split_top_level
 from .reporting import CheckReport
 from .series import Series, SeriesSpace, make_series
 from .solver import (
@@ -168,7 +168,7 @@ class DifferentialFieldSpec:
 
     def __post_init__(self):
         if not self.field.is_zero(self.derivation.scale(self.group.zero)):
-            raise ValueError("derivation must annihilate constants: d(0) != 0")
+            raise ParseError("derivation must annihilate constants: d(0) != 0")
 
     @property
     def space(self) -> SeriesSpace:
@@ -354,8 +354,6 @@ def parse_derivation(
     ``d:<g>=<c>,...;sigma:<g>=<g'>,...`` with finite tables; the sigma part
     is optional and defaults to the identity.
     """
-    from .parsing import _split_top_level, parse_coefficient
-
     selector = selector.strip()
     if selector == "ddt":
         return ddt(field, group)
@@ -372,7 +370,7 @@ def parse_derivation(
         if part.startswith("d:"):
             for entry in _split_top_level(part[2:], ","):
                 g_text, _, c_text = entry.partition("=")
-                scale_table[group.parse(g_text)] = parse_coefficient(field, c_text)
+                scale_table[group.parse(g_text)] = field.parse(c_text)
         elif part.startswith("sigma:"):
             for entry in _split_top_level(part[6:], ","):
                 g_text, _, g2_text = entry.partition("=")

@@ -1,7 +1,8 @@
-"""Exact coefficient fields: rationals and prime fields."""
+"""Exact coefficient fields (rationals, prime fields) and the shared text readers."""
 
 from __future__ import annotations
 
+import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -10,6 +11,45 @@ from typing import Any
 from .errors import ParseError
 
 FieldElement = Any
+
+_NUMBER_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_number(text: str, what: str, integer: bool = False) -> int | Fraction:
+    """Read ``[+-]?[0-9]+(/[0-9]+)?``: ASCII digits, outer whitespace ignored.
+
+    Every number read from text goes through here.  Returns an ``int``, or a
+    ``Fraction`` for a ``/`` part, which ``integer`` refuses; ``what`` names
+    the number in the ``ParseError``.
+    """
+    m = _NUMBER_RE.fullmatch(text.strip())
+    if m is None or (integer and m[2] is not None):
+        form = "integer" if integer else "integer or integer/positive-integer"
+        raise ParseError(f"bad {what} {text!r} (want {form})")
+    if m[2] is None:
+        return int(m[1])
+    if int(m[2]) == 0:
+        raise ParseError(f"zero denominator in {what} {text!r}")
+    return Fraction(int(m[1]), int(m[2]))
+
+
+def _split_top_level(text: str, sep: str) -> list[str]:
+    """Split on ``sep`` outside any parentheses or braces."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "({":
+            depth += 1
+        elif ch in ")}":
+            depth -= 1
+            if depth < 0:
+                raise ParseError(f"unbalanced brackets in {text!r}")
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    if depth != 0:
+        raise ParseError(f"unbalanced brackets in {text!r}")
+    parts.append(text[start:])
+    return parts
 
 
 class CoefficientField(ABC):
@@ -38,14 +78,17 @@ class CoefficientField(ABC):
     def inv(self, a: FieldElement) -> FieldElement: ...
 
     @abstractmethod
-    def parse(self, text: str) -> FieldElement: ...
-
-    @abstractmethod
     def format(self, a: FieldElement) -> str: ...
 
     @abstractmethod
     def coerce(self, n: int | Fraction) -> FieldElement:
         """Image of a rational integer (or fraction, where defined) in the field."""
+
+    def parse(self, text: str) -> FieldElement:
+        try:
+            return self.coerce(parse_number(text, "coefficient"))
+        except ZeroDivisionError as e:
+            raise ParseError(f"bad coefficient {text!r}: {e}") from None
 
     def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
         return self.add(a, self.neg(b))
@@ -87,19 +130,11 @@ class RationalField(CoefficientField):
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
-    def parse(self, text):
-        try:
-            return Fraction(text.strip())
-        except ValueError:
-            raise ParseError(f"not a rational coefficient: {text!r}") from None
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in coefficient: {text!r}") from None
-
     def format(self, a):
         return str(a)
 
     def coerce(self, n):
-        return Fraction(n)
+        return n if isinstance(n, Fraction) else Fraction(n)
 
 
 def _is_prime(p: int) -> bool:
@@ -151,16 +186,6 @@ class PrimeField(CoefficientField):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def parse(self, text):
-        text = text.strip()
-        try:
-            if "/" in text:
-                num, den = text.split("/", 1)
-                return self.div(self.coerce(int(num)), self.coerce(int(den)))
-            return int(text) % self.p
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"not a mod-{self.p} coefficient: {text!r}") from None
-
     def format(self, a):
         return str(a % self.p)
 
@@ -181,7 +206,7 @@ def field_by_name(name: str) -> CoefficientField:
         return QQ
     if name.startswith("prime:"):
         try:
-            return PrimeField(int(name.split(":", 1)[1]))
+            return PrimeField(parse_number(name[len("prime:") :], "prime", integer=True))
         except ValueError as e:
             raise ParseError(f"bad prime field spec {name!r}: {e}") from None
     raise ParseError(f"unknown field {name!r} (use 'rationals' or 'prime:<p>')")

@@ -2,54 +2,28 @@
 
 Grammar (whitespace insignificant):
 
-    series := term ('+' term)* | '0'
+    series := term ('+' term)* ['+' 'O(' exp ')']
     term   := coeff '*' 't^' exp | 't^' exp | coeff
-    coeff  := integer | integer '/' positive-integer
-    exp    := value-group element, e.g. -3, 5/2, (1,-2)
+    coeff  := number
+    exp    := number ('/' refused over int) | '(' exp ',' exp ')' over lex pairs
+    number := [+-]?[0-9]+(/[0-9]+)?   ASCII digits, nonzero denominator
 
-A trailing ``+ O(exp)`` sets the truncation bound.  The printer emits a
-canonical form: terms ascending, a unit coefficient dropped before ``t^``,
-exponent-zero terms printed as bare coefficients, and the bound last.  Every
-printed series re-parses to an equal series.
+Every number (coefficient, scalar exponent, modulus), in text and in JSON,
+is read by ``fields.parse_number``, so ``1.5``, ``1e1``, ``1_0`` and
+non-ASCII digits are refused.  The printer emits a canonical form: terms
+ascending, a unit coefficient dropped before ``t^``, exponent-zero terms
+printed as bare coefficients, and the bound last.  Every printed series
+re-parses to an equal series.
 """
 
 from __future__ import annotations
 
 import json
-import re
 
 from .errors import ParseError
-from .fields import CoefficientField
+from .fields import CoefficientField, _split_top_level
 from .series import Series, make_series
 from .valuegroups import INFINITY, OrderedValue, ValueGroup
-
-_COEFF_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-
-def _split_top_level(text: str, sep: str) -> list[str]:
-    """Split on ``sep`` outside any parentheses or braces."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced brackets in {text!r}")
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    if depth != 0:
-        raise ParseError(f"unbalanced brackets in {text!r}")
-    parts.append(text[start:])
-    return parts
-
-
-def parse_coefficient(field: CoefficientField, text: str):
-    text = text.strip()
-    if not _COEFF_RE.match(text):
-        raise ParseError(f"bad coefficient {text!r} (want integer or integer/positive-integer)")
-    return field.parse(text)
 
 
 def parse_series(field: CoefficientField, group: ValueGroup, text: str) -> Series:
@@ -79,13 +53,11 @@ def _parse_term(field: CoefficientField, group: ValueGroup, tok: str):
         if head == "":
             coeff = field.one
         elif head.endswith("*"):
-            coeff = parse_coefficient(field, head[:-1])
+            coeff = field.parse(head[:-1])
         else:
             raise ParseError(f"bad term {tok!r} (want coeff*t^exp or t^exp)")
-        if not exp_text.strip():
-            raise ParseError(f"missing exponent in {tok!r}")
         return (coeff, group.parse(exp_text))
-    return (parse_coefficient(field, tok), group.zero)
+    return (field.parse(tok), group.zero)
 
 
 def series_to_text(s: Series) -> str:

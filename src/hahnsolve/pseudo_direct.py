@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import IndeterminateValuation, NotPseudoDirect, ParseError
-from .fields import CoefficientField, FieldElement
+from .fields import CoefficientField, FieldElement, _split_top_level, parse_number
 from .reporting import CheckReport
 from .series import Series, SeriesSpace
 from .solver import (
@@ -167,12 +167,17 @@ def pseudo_direct_section(subgroups: Sequence[Subgroup], a: Series) -> ProductEl
     witness conditions as one exact linear system, free unknowns set to
     zero; an inconsistent system is a proof that no witness exists.
     """
+    return _section_for(subgroups)(subgroups, a)
+
+
+def _section_for(subgroups: Sequence[Subgroup]):
+    """The section for a family of one kind; an empty or mixed family is refused."""
     if not subgroups:
         raise ValueError("need at least one subgroup")
     if all(isinstance(sub, SupportSubgroup) for sub in subgroups):
-        return _support_section(subgroups, a)
+        return _support_section
     if all(isinstance(sub, SpanSubgroup) for sub in subgroups):
-        return _span_section(subgroups, a)
+        return _span_section
     raise ParseError("mixed support-pattern and span subgroups are not supported")
 
 
@@ -195,7 +200,7 @@ def _support_section(subgroups: Sequence[SupportSubgroup], a: Series) -> Product
 
 def _span_section(subgroups: Sequence[SpanSubgroup], a: Series) -> ProductElement:
     if not a.is_exact:
-        raise ValueError("span decomposition needs an exact target")
+        raise ParseError("span decomposition needs an exact target")
     field = a.field
     lead, va = a.leading_term()
     columns = [(i, u) for i, sub in enumerate(subgroups) for u in sub.generators]
@@ -284,6 +289,7 @@ def _solve_linear(
 def decomposition_instance(
     subgroups: Sequence[Subgroup], space: SeriesSpace
 ) -> tuple[HomomorphismSpec, AsymptoticSection]:
+    _section_for(subgroups)  # refuse an empty or mixed family before any step
     product = ProductGroup(tuple(space for _ in subgroups))
     spec = HomomorphismSpec(domain=product, codomain=space, apply=sum_map)
     section = AsymptoticSection(
@@ -358,7 +364,7 @@ def parse_subgroup(
 
     The residue patterns (``even``, ``odd``, ``mod:``) need scalar exponents
     and are refused over a lexicographic pair group."""
-    from .parsing import _split_top_level, parse_series
+    from .parsing import parse_series
 
     text = text.strip()
     if (text in ("even", "odd") or text.startswith("mod:")) and isinstance(group, LexPair):
@@ -368,11 +374,9 @@ def parse_subgroup(
     if text == "odd":
         return SupportSubgroup("odd", lambda g: g % 2 == 1)
     if text.startswith("mod:"):
-        try:
-            _, k_text, r_text = text.split(":")
-            k, r = int(k_text), int(r_text)
-        except ValueError:
-            raise ParseError(f"bad pattern {text!r} (want mod:<k>:<r>)") from None
+        k_text, _, r_text = text[len("mod:") :].partition(":")
+        k = parse_number(k_text, "mod:<k>:<r> modulus", integer=True)
+        r = parse_number(r_text, "mod:<k>:<r> residue", integer=True)
         if k <= 0:
             raise ParseError(f"modulus must be positive in {text!r}")
         return SupportSubgroup(text, lambda g, k=k, r=r: g % k == r % k)

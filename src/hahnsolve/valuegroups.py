@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import ParseError
+from .fields import _split_top_level, parse_number
 
 GroupElement = Any
 
@@ -82,10 +83,7 @@ class IntegerGroup(ValueGroup):
         return _cmp(a, b)
 
     def parse(self, text):
-        try:
-            return int(text.strip())
-        except ValueError:
-            raise ParseError(f"not an integer exponent: {text!r}") from None
+        return parse_number(text, "integer exponent", integer=True)
 
     def format(self, a):
         return str(a)
@@ -109,10 +107,8 @@ class RationalGroup(ValueGroup):
         return _cmp(a, b)
 
     def parse(self, text):
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"not a rational exponent: {text!r}") from None
+        n = parse_number(text, "rational exponent")
+        return n if isinstance(n, Fraction) else Fraction(n)
 
     def format(self, a):
         return str(a)
@@ -144,18 +140,10 @@ class LexPair(ValueGroup):
 
     def parse(self, text):
         text = text.strip()
-        if not (text.startswith("(") and text.endswith(")")):
-            raise ParseError(f"lex pair must be parenthesised: {text!r}")
-        inner = text[1:-1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return (self.left.parse(inner[:i]), self.right.parse(inner[i + 1 :]))
-        raise ParseError(f"lex pair needs a top-level comma: {text!r}")
+        parts = _split_top_level(text[1:-1], ",") if text[:1] + text[-1:] == "()" else []
+        if len(parts) != 2:
+            raise ParseError(f"lex pair must be (left,right): {text!r}")
+        return (self.left.parse(parts[0]), self.right.parse(parts[1]))
 
     def format(self, a):
         return f"({self.left.format(a[0])},{self.right.format(a[1])})"

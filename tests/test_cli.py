@@ -253,10 +253,32 @@ class TestArgumentErrors:
             ["check", "--instance", "nope"],
             ["decompose", "--parts", "even,span:{t^1}", "t^1"],
             ["decompose", "--parts", "span:{t^1 + O(2)}", "t^1"],
+            ["decompose", "--parts", "even,span:{t^1}", "0"],
+            ["integrate", "--derivation", "d:0=1", "t^2"],
+            ["decompose", "--parts", "span:{t^1}", "t^1 + O(3)"],
         ],
     )
     def test_parse_errors_exit_two(self, argv):
         code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["derive", "{}*t^1"],
+            ["derive", "--group", "rat", "t^{}"],
+            ["quotient", "--group", "rat", "--alpha={}", "t^1"],
+            ["derive", "--precision={}", "t^1"],
+            ["decompose", "--parts", "mod:{}:0", "t^1"],
+            ["derive", "--field", "prime:{}", "t^1"],
+            ["derive", "--derivation", "d:1={}", "t^1"],
+        ],
+    )
+    @pytest.mark.parametrize("number", ["1.5", "1e1", "1_0", "\u0663", "1/0", "1/-2", "(1,2,3)"])
+    def test_lenient_numbers_exit_two(self, argv, number):
+        code, out, err = run_cli([a.replace("{}", number) for a in argv])
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

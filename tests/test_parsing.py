@@ -139,3 +139,106 @@ class TestJson:
     @given(truncated_series())
     def test_json_round_trip_property(self, s):
         assert hs.series_from_json(hs.QQ, hs.INTEGERS, hs.series_to_json(s)) == s
+
+
+# -- the one number grammar ------------------------------------------------
+
+F7 = hs.PrimeField(7)
+HALVES = [Fraction(n, 2) for n in range(-20, 21)]
+
+
+def _json_series(group, term):
+    return hs.series_from_json_dict(hs.QQ, group, {"terms": [term], "truncation": "inf"})
+
+
+def _set_member(text):
+    sub = hs.parse_subgroup(hs.QQ, hs.RATIONALS, "set:{" + text + "}")
+    return next(g for g in HALVES if sub.pattern(g))
+
+
+def _mod_residue(text):
+    sub = hs.parse_subgroup(hs.QQ, hs.INTEGERS, f"mod:7:{text}")
+    return next(g for g in range(7) if sub.pattern(g))
+
+
+def _mod_modulus(text):
+    sub = hs.parse_subgroup(hs.QQ, hs.INTEGERS, f"mod:{text}:0")
+    return next(g for g in range(1, 20) if sub.pattern(g))
+
+
+# the documented forms, as every reader is given them
+FORMS = ("-3", "+3", "007", "5/2", " 2 ")
+R = hs.ParseError
+HALF = Fraction(5, 2)
+
+# reader -> (read, what it makes of each of FORMS; ParseError where it refuses)
+READERS = {
+    # '+' separates terms, so series text has no signed-plus numbers
+    "series coefficient": (
+        lambda t: parse_qz(f"{t}*t^1").coefficient(1), (-3, R, 7, HALF, 2)
+    ),
+    "bare series coefficient": (lambda t: parse_qz(t).coefficient(0), (-3, R, 7, HALF, 2)),
+    "JSON coefficient": (
+        lambda t: _json_series(hs.INTEGERS, [t, "1"]).coefficient(1), (-3, 3, 7, HALF, 2)
+    ),
+    "GF(7) coefficient": (F7.parse, (4, 3, 0, 6, 2)),
+    "int exponent": (hs.INTEGERS.parse, (-3, 3, 7, R, 2)),
+    "rat exponent": (hs.RATIONALS.parse, (-3, 3, 7, HALF, 2)),
+    "series exponent": (
+        lambda t: hs.parse_series(hs.QQ, hs.RATIONALS, f"t^{t}").support[0],
+        (-3, R, 7, HALF, 2),
+    ),
+    "JSON exponent": (
+        lambda t: _json_series(hs.RATIONALS, ["1", t]).support[0], (-3, 3, 7, HALF, 2)
+    ),
+    "lex pair": (
+        lambda t: hs.LEX2.parse(f"({t},{t})"), ((-3, -3), (3, 3), (7, 7), R, (2, 2))
+    ),
+    "--alpha / --precision": (
+        lambda t: hs.ov_parse(hs.RATIONALS, t).finite, (-3, 3, 7, HALF, 2)
+    ),
+    "set:{} member": (_set_member, (-3, 3, 7, HALF, 2)),
+    "mod: residue": (_mod_residue, (4, 3, 0, R, 2)),
+    "mod: modulus": (_mod_modulus, (R, 3, 7, R, 2)),
+    "prime:": (lambda t: hs.field_by_name(f"prime:{t}").p, (R, 3, 7, R, 2)),
+    "derivation table": (
+        lambda t: hs.parse_derivation(hs.QQ, hs.INTEGERS, f"d:1={t}").scale(1),
+        (-3, 3, 7, HALF, 2),
+    ),
+}
+
+REFUSED = ("1.5", "1e1", "1_0", "\u0663", "1/0", "1/-2", "(1,2,3)")
+
+
+class TestNumberGrammar:
+    @pytest.mark.parametrize(
+        "reader,text,expected",
+        [
+            (name, text, expected)
+            for name, (_, results) in READERS.items()
+            for text, expected in zip(FORMS, results)
+        ],
+    )
+    def test_documented_forms(self, reader, text, expected):
+        read = READERS[reader][0]
+        if expected is R:
+            with pytest.raises(hs.ParseError):
+                read(text)
+        else:
+            assert read(text) == expected
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("text", REFUSED)
+    def test_lenient_forms_refused(self, reader, text):
+        with pytest.raises(hs.ParseError):
+            READERS[reader][0](text)
+
+    def test_reader_reduces_and_names_the_number(self):
+        from hahnsolve.fields import parse_number
+
+        assert parse_number(" -007 ", "n") == -7
+        assert parse_number("+10/4", "n") == Fraction(5, 2)
+        with pytest.raises(hs.ParseError, match="zero denominator"):
+            parse_number("3/0", "n")
+        with pytest.raises(hs.ParseError, match=r"^bad exponent '5/2' \(want integer\)$"):
+            parse_number("5/2", "exponent", integer=True)

@@ -1,14 +1,25 @@
-"""The example scripts run in-process and exit 0."""
+"""The example scripts and the README's command lines run in-process and exit 0."""
 
 import contextlib
 import io
 import runpy
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from hahnsolve.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def readme_commands() -> list[str]:
+    """The ``hahnsolve ...`` lines of the README's first block under "Command line"."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("hahnsolve ")]
 
 
 @pytest.mark.parametrize(
@@ -25,3 +36,15 @@ def test_script_exits_zero(argv, monkeypatch):
     with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
         runpy.run_path(str(SCRIPTS / argv[0]), run_name="__main__")
     assert exit_info.value.code == 0, out.getvalue()
+
+
+def test_readme_has_command_examples():
+    assert len(readme_commands()) >= 7
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_exits_zero(line):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(shlex.split(line)[1:])
+    assert code == 0, err.getvalue()
