@@ -71,10 +71,6 @@ def _config_from(args: argparse.Namespace) -> CliConfig:
     )
 
 
-def _value_str(config: CliConfig, v: OrderedValue) -> str:
-    return ov_format(config.group, v)
-
-
 def _product_text(t: ProductElement) -> str:
     return "(" + "; ".join(series_to_text(s) for s in t.components) + ")"
 
@@ -104,7 +100,7 @@ def cmd_integrate(config: CliConfig, args: argparse.Namespace) -> int:
     trace = trace_entries(result, series_to_text, functools.partial(ov_format, config.group))
     lines = [
         f"solution: {series_to_text(result.solution)}",
-        f"residual_value: {_value_str(config, result.residual_value)}",
+        f"residual_value: {ov_format(config.group, result.residual_value)}",
         f"iterations: {result.iterations}",
         f"exact: {'true' if result.exact else 'false'}",
     ]
@@ -115,7 +111,7 @@ def cmd_integrate(config: CliConfig, args: argparse.Namespace) -> int:
         lines,
         {
             "solution": series_to_json_dict(result.solution),
-            "residual_value": _value_str(config, result.residual_value),
+            "residual_value": ov_format(config.group, result.residual_value),
             "iterations": result.iterations,
             "exact": result.exact,
         },
@@ -162,7 +158,7 @@ def cmd_decompose(config: CliConfig, args: argparse.Namespace) -> int:
         for sub, s in zip(subgroups, parts.components)
     ]
     lines.append(f"witness: {verdict}")
-    lines.append(f"residual_value: {_value_str(config, result.residual_value)}")
+    lines.append(f"residual_value: {ov_format(config.group, result.residual_value)}")
     _emit(
         config,
         "decompose",
@@ -170,7 +166,7 @@ def cmd_decompose(config: CliConfig, args: argparse.Namespace) -> int:
         {
             "parts": [series_to_json_dict(s) for s in parts.components],
             "witness": verdict,
-            "residual_value": _value_str(config, result.residual_value),
+            "residual_value": ov_format(config.group, result.residual_value),
             "iterations": result.iterations,
         },
         trace,
@@ -217,11 +213,11 @@ def cmd_quotient(config: CliConfig, args: argparse.Namespace) -> int:
         "quotient",
         [
             f"class: {series_to_text(truncated)}",
-            f"value: {_value_str(config, value)}",
+            f"value: {ov_format(config.group, value)}",
         ],
         {
             "class": series_to_json_dict(truncated),
-            "value": _value_str(config, value),
+            "value": ov_format(config.group, value),
         },
         [],
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import AmbiguousShift, Obstruction, ParseError, UnmappedValue
 from .fields import CoefficientField, FieldElement, _split_top_level
@@ -74,40 +74,32 @@ def _unit_for(group: ValueGroup) -> GroupElement:
     raise ParseError(f"derivation needs integer or rational exponents, got {group!r}")
 
 
-def ddt(field: CoefficientField, group: ValueGroup) -> TermwiseDerivation:
-    """Ordinary differentiation: ``c t^g -> (c g) t^{g-1}``."""
+def _power_rule(
+    name: str, field: CoefficientField, group: ValueGroup, step: int
+) -> TermwiseDerivation:
+    """``c t^g -> (c g) t^{g - step}``; step 0 takes identity maps, no arithmetic."""
     one = _unit_for(group)
-
-    def scale(g):
-        return field.coerce(g)
+    if step:
+        shift, unshift = (lambda g: g - one), (lambda g: g + one)
+        map_truncation = lambda t: OrderedValue(t.finite - one)
+    else:
+        shift = unshift = map_truncation = lambda x: x
 
     def shift_inverse(g):
-        g2 = g + one
+        g2 = unshift(g)
         return g2 if not field.is_zero(field.coerce(g2)) else None
 
-    return TermwiseDerivation(
-        name="ddt",
-        scale=scale,
-        shift=lambda g: g - one,
-        shift_inverse=shift_inverse,
-        map_truncation=lambda t: OrderedValue(t.finite - one),
-    )
+    return TermwiseDerivation(name, field.coerce, shift, shift_inverse, map_truncation)
+
+
+def ddt(field: CoefficientField, group: ValueGroup) -> TermwiseDerivation:
+    """Ordinary differentiation: ``c t^g -> (c g) t^{g-1}``."""
+    return _power_rule("ddt", field, group, 1)
 
 
 def euler(field: CoefficientField, group: ValueGroup) -> TermwiseDerivation:
     """Euler operator ``t * d/dt``: ``c t^g -> (c g) t^g``."""
-    _unit_for(group)
-
-    def shift_inverse(g):
-        return g if not field.is_zero(field.coerce(g)) else None
-
-    return TermwiseDerivation(
-        name="euler",
-        scale=lambda g: field.coerce(g),
-        shift=lambda g: g,
-        shift_inverse=shift_inverse,
-        map_truncation=lambda t: t,
-    )
+    return _power_rule("euler", field, group, 0)
 
 
 def from_tables(
@@ -352,7 +344,8 @@ def parse_derivation(
 
     ``ddt`` and ``euler`` name the built-ins.  Custom derivations use
     ``d:<g>=<c>,...;sigma:<g>=<g'>,...`` with finite tables; the sigma part
-    is optional and defaults to the identity.
+    is optional and defaults to the identity.  An exponent repeated within
+    a table is refused with ``ParseError``.
     """
     selector = selector.strip()
     if selector == "ddt":
@@ -365,16 +358,17 @@ def parse_derivation(
         )
     scale_table: dict[GroupElement, FieldElement] = {}
     shift_table: dict[GroupElement, GroupElement] = {}
+    sections = {"d:": (scale_table, field.parse), "sigma:": (shift_table, group.parse)}
     for part in selector.split(";"):
         part = part.strip()
-        if part.startswith("d:"):
-            for entry in _split_top_level(part[2:], ","):
-                g_text, _, c_text = entry.partition("=")
-                scale_table[group.parse(g_text)] = field.parse(c_text)
-        elif part.startswith("sigma:"):
-            for entry in _split_top_level(part[6:], ","):
-                g_text, _, g2_text = entry.partition("=")
-                shift_table[group.parse(g_text)] = group.parse(g2_text)
-        else:
+        prefix = next((p for p in sections if part.startswith(p)), None)
+        if prefix is None:
             raise ParseError(f"bad derivation table section {part!r}")
+        table, read = sections[prefix]
+        for entry in _split_top_level(part[len(prefix) :], ","):
+            g_text, _, value_text = entry.partition("=")
+            g = group.parse(g_text)
+            if g in table:
+                raise ParseError(f"repeated exponent {group.format(g)} in {prefix} table")
+            table[g] = read(value_text)
     return from_tables(field, group, scale_table, shift_table, name="custom")

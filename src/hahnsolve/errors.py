@@ -31,7 +31,7 @@ class UnmappedValue(ValueError):
     """A value lies outside the domain or range of the value correspondence."""
 
 
-class AmbiguousShift(ValueError):
+class AmbiguousShift(ParseError):
     """The exponent shift of a derivation is not injective where it matters."""
 
     def __init__(self, exponent):

@@ -137,16 +137,21 @@ class RationalField(CoefficientField):
         return n if isinstance(n, Fraction) else Fraction(n)
 
 
+# Miller-Rabin to the bases _WITNESSES decides primality exactly below
+# _PRIME_BOUND, the least strong pseudoprime to all of them.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for a in _WITNESSES:
+        x = [pow(a, d << i, p) for i in range(s)]
+        if x[0] != 1 and p - 1 not in x:
             return False
-        d += 2
     return True
 
 
@@ -157,6 +162,8 @@ class PrimeField(CoefficientField):
     p: int
 
     def __post_init__(self):
+        if self.p >= _PRIME_BOUND:
+            raise ParseError(f"modulus must be below {_PRIME_BOUND:,}, got {self.p}")
         if not _is_prime(self.p):
             raise ValueError(f"modulus must be prime, got {self.p}")
 

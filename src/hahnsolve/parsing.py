@@ -23,7 +23,7 @@ import json
 from .errors import ParseError
 from .fields import CoefficientField, _split_top_level
 from .series import Series, make_series
-from .valuegroups import INFINITY, OrderedValue, ValueGroup
+from .valuegroups import INFINITY, OrderedValue, ValueGroup, ov_format, ov_parse
 
 
 def parse_series(field: CoefficientField, group: ValueGroup, text: str) -> Series:
@@ -81,7 +81,7 @@ def _term_text(s: Series, coeff, exponent) -> str:
 def series_to_json_dict(s: Series) -> dict:
     return {
         "terms": [[s.field.format(c), s.group.format(g)] for c, g in s.terms],
-        "truncation": "inf" if s.truncation.is_infinite else s.group.format(s.truncation.finite),
+        "truncation": ov_format(s.group, s.truncation),
     }
 
 
@@ -93,7 +93,7 @@ def series_from_json_dict(field: CoefficientField, group: ValueGroup, data: dict
         raise ParseError(f"series JSON needs 'terms' and 'truncation': {e}") from None
     if not isinstance(raw_terms, list) or not isinstance(raw_trunc, str):
         raise ParseError("series JSON needs a list of terms and a string truncation")
-    truncation = INFINITY if raw_trunc == "inf" else OrderedValue(group.parse(raw_trunc))
+    truncation = ov_parse(group, raw_trunc)
     terms = []
     for entry in raw_terms:
         if not isinstance(entry, list) or len(entry) != 2 or not all(

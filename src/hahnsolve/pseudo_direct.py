@@ -367,19 +367,16 @@ def parse_subgroup(
     from .parsing import parse_series
 
     text = text.strip()
-    if (text in ("even", "odd") or text.startswith("mod:")) and isinstance(group, LexPair):
-        raise ParseError(f"pattern {text!r} needs int or rat exponents, not {group.name}")
-    if text == "even":
-        return SupportSubgroup("even", lambda g: g % 2 == 0)
-    if text == "odd":
-        return SupportSubgroup("odd", lambda g: g % 2 == 1)
-    if text.startswith("mod:"):
-        k_text, _, r_text = text[len("mod:") :].partition(":")
+    residues = {"even": "mod:2:0", "odd": "mod:2:1"}.get(text, text)
+    if residues.startswith("mod:"):
+        if isinstance(group, LexPair):
+            raise ParseError(f"pattern {text!r} needs int or rat exponents, not {group.name}")
+        k_text, _, r_text = residues[len("mod:") :].partition(":")
         k = parse_number(k_text, "mod:<k>:<r> modulus", integer=True)
         r = parse_number(r_text, "mod:<k>:<r> residue", integer=True)
         if k <= 0:
             raise ParseError(f"modulus must be positive in {text!r}")
-        return SupportSubgroup(text, lambda g, k=k, r=r: g % k == r % k)
+        return SupportSubgroup(text, lambda g, k=k, r=r % k: g % k == r)
     if text.startswith("set:{") and text.endswith("}"):
         members = {
             group.parse(tok)

@@ -256,6 +256,9 @@ class TestArgumentErrors:
             ["decompose", "--parts", "even,span:{t^1}", "0"],
             ["integrate", "--derivation", "d:0=1", "t^2"],
             ["decompose", "--parts", "span:{t^1}", "t^1 + O(3)"],
+            ["integrate", "--derivation", "d:1=1,2=1;sigma:1=5,2=5", "t^5"],
+            ["derive", "--derivation", "d:1=1,1=2", "t^1"],
+            ["derive", "--field", "prime:618970019642690137449562111", "t^1"],  # 2^89 - 1
         ],
     )
     def test_parse_errors_exit_two(self, argv):

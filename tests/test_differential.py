@@ -1,5 +1,6 @@
 """Term-wise derivations, formal integration, obstructions, sample checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,52 @@ class TestDerive:
     def test_additive(self, a, b):
         d = DDT.derivation
         assert hs.derive(d, a.add(b)) == hs.derive(d, a).add(hs.derive(d, b))
+
+
+class TestPowerRuleClosedForm:
+    """``derive`` under ddt and euler against ``c t^g -> (c g) t^(g - step)``
+    worked out here, term by term, with no series arithmetic."""
+
+    @staticmethod
+    def _draw(rng, group, below):
+        """Up to 8 terms ``{exponent: coefficient}`` below ``below``; ``rat``
+        denominators come from 1-4, as the samplers draw them."""
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            g = rng.randint(-12, 12)
+            if group == hs.RATIONALS:
+                g = Fraction(g, rng.randint(1, 4))
+            if g < below:
+                terms[g] = rng.randint(1, 6)
+        return terms
+
+    @staticmethod
+    def _times(field, c, g):
+        if field == hs.QQ:
+            return Fraction(c) * g
+        g = Fraction(g)
+        return c * g.numerator * pow(g.denominator, -1, 7) % 7
+
+    @pytest.mark.parametrize("field", [hs.QQ, hs.PrimeField(7)], ids=["QQ", "GF7"])
+    @pytest.mark.parametrize("group", [hs.INTEGERS, hs.RATIONALS], ids=["int", "rat"])
+    @pytest.mark.parametrize("name, step", [("ddt", 1), ("euler", 0)])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "truncated"])
+    def test_matches_closed_form(self, field, group, name, step, exact):
+        rng = random.Random(f"{field.name}/{group.name}/{name}/{exact}")
+        derivation = hs.parse_derivation(field, group, name)
+        space = hs.SeriesSpace(field, group)
+        for _ in range(100):
+            cut = None if exact else group.parse(str(rng.randint(-8, 10)))
+            terms = self._draw(rng, group, 13 if exact else cut)
+            s = space.series([(c, g) for g, c in terms.items()], INF if exact else OV(cut))
+            image = hs.derive(derivation, s)
+            expected = [
+                (self._times(field, c, g), g - step)
+                for g, c in sorted(terms.items())
+                if self._times(field, c, g) != 0
+            ]
+            assert list(image.terms) == expected
+            assert image.truncation == (INF if exact else OV(cut - step))
 
 
 class TestFromTables:
@@ -273,6 +320,17 @@ class TestParseDerivation:
     def test_custom_tables_reject_ambiguity(self):
         with pytest.raises(hs.AmbiguousShift):
             hs.parse_derivation(hs.QQ, hs.INTEGERS, "d:2=1,3=1;sigma:2=5,3=5")
+
+    def test_ambiguity_is_a_parse_error(self):
+        assert issubclass(hs.AmbiguousShift, hs.ParseError)
+
+    @pytest.mark.parametrize(
+        "selector, table",
+        [("d:1=1,1=2", "d:"), ("d:1=1;sigma:1=2,1=3", "sigma:"), ("d:1=1;d:1=1", "d:")],
+    )
+    def test_repeated_exponent_refused(self, selector, table):
+        with pytest.raises(hs.ParseError, match=f"^repeated exponent 1 in {table} table$"):
+            hs.parse_derivation(hs.QQ, hs.INTEGERS, selector)
 
     @pytest.mark.parametrize("bad", ["newton", "sigma:2=5", "d:2=1;junk:3"])
     def test_bad_selectors(self, bad):

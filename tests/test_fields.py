@@ -1,5 +1,6 @@
 """Coefficient fields: exact rationals and prime fields."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,43 @@ class TestPrimeField:
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
         assert f.add(a, f.neg(a)) == f.zero
         assert f.mul(a, f.one) == a % 13
+
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def _accepted(p):
+    try:
+        hs.PrimeField(p)
+    except ValueError:
+        return False
+    return True
+
+
+class TestPrimality:
+    BOUND = 3_317_044_064_679_887_385_961_981  # Miller-Rabin to bases 2..41 is exact below
+
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(20_001) if _accepted(n)] == [
+            n for n in range(20_001) if _trial_division_prime(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "n", [561, 2047, 1373653, 25326001, 3215031751, 3825123056546413051]
+    )
+    def test_strong_pseudoprimes_refused(self, n):
+        assert not _accepted(n)
+
+    def test_large_prime_is_quick(self):
+        start = time.perf_counter()
+        assert hs.field_by_name("prime:100000000000000003").p == 100000000000000003
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("n", [BOUND, BOUND + 1, 2**89 - 1])
+    def test_bound_refused_with_parse_error(self, n):
+        with pytest.raises(hs.ParseError, match="3,317,044,064,679,887,385,961,981"):
+            hs.PrimeField(n)
 
 
 def test_field_by_name():

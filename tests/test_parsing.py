@@ -136,6 +136,26 @@ class TestJson:
         with pytest.raises(hs.ParseError):
             hs.series_from_json(hs.QQ, hs.INTEGERS, text)
 
+    @pytest.mark.parametrize(
+        "group, terms, truncation",
+        [
+            (hs.INTEGERS, [(Fraction(-7, 3), -2), (1, 0)], "5"),
+            (hs.RATIONALS, [(2, Fraction(-1, 2)), (Fraction(1, 4), Fraction(3, 2))], "7/3"),
+            (hs.LEX2, [(3, (-1, 4)), (-1, (0, 0)), (5, (1, -2))], "(2,0)"),
+            (hs.LEX2, [(1, (0, 1))], "inf"),
+        ],
+    )
+    def test_round_trip_per_group(self, group, terms, truncation):
+        s = hs.SeriesSpace(hs.QQ, group).series(terms, hs.ov_parse(group, truncation))
+        d = hs.series_to_json_dict(s)
+        assert d["truncation"] == truncation
+        assert hs.series_from_json_dict(hs.QQ, group, d) == s
+        assert hs.series_from_json(hs.QQ, group, hs.series_to_json(s)) == s
+
+    def test_padded_inf_reads_as_exact(self):
+        data = {"terms": [["1", "2"]], "truncation": " inf "}
+        assert hs.series_from_json_dict(hs.QQ, hs.INTEGERS, data).is_exact
+
     @given(truncated_series())
     def test_json_round_trip_property(self, s):
         assert hs.series_from_json(hs.QQ, hs.INTEGERS, hs.series_to_json(s)) == s

@@ -384,6 +384,29 @@ class TestParseSubgroup:
         assert odd.contains_series(QZ.monomial(1, -1))
         assert not odd.contains_series(QZ.monomial(1, 2))
 
+    @pytest.mark.parametrize(
+        "group, exponents",
+        [
+            (hs.INTEGERS, list(range(-9, 10))),
+            (hs.RATIONALS, [Fraction(n, d) for n in range(-9, 10) for d in (1, 2, 3)]),
+        ],
+        ids=["int", "rat"],
+    )
+    def test_parity_is_mod_two(self, group, exponents):
+        for name, mod in (("even", "mod:2:0"), ("odd", "mod:2:1")):
+            parity = hs.parse_subgroup(hs.QQ, group, name)
+            residue = hs.parse_subgroup(hs.QQ, group, mod)
+            assert parity.name == name
+            assert [parity.pattern(g) for g in exponents] == [
+                residue.pattern(g) for g in exponents
+            ]
+
+    def test_half_integers_are_neither_even_nor_odd(self):
+        even, odd = (hs.parse_subgroup(hs.QQ, hs.RATIONALS, p) for p in ("even", "odd"))
+        for g in (Fraction(1, 2), Fraction(3, 2)):
+            assert not even.pattern(g) and not odd.pattern(g)
+        assert even.pattern(Fraction(-2)) and odd.pattern(Fraction(3))
+
     def test_mod_pattern_handles_negatives(self):
         sub = hs.parse_subgroup(hs.QQ, hs.INTEGERS, "mod:3:1")
         assert sub.contains_series(QZ.monomial(1, -2))
