@@ -53,13 +53,11 @@ from .solver import (
     check_section_progress,
     check_value_map_order,
     check_value_monotonicity,
-    default_value_str,
     identity_value_map,
     image_ball,
     pull_nest,
     solve,
     trace_entries,
-    trace_to_json_lines,
     verify_section_injectivity,
     verify_value_map,
 )

@@ -1,8 +1,9 @@
 """Command-line interface: integrate, derive, decompose, check, quotient.
 
 Exit codes form a small taxonomy so scripts can tell failure modes apart:
-0 success, 1 flagged violation or domain error, 2 parse error, 3 a section
-obstruction (no admissible correction exists), 4 iteration budget exhausted.
+0 success, 1 flagged violation or domain error, 2 malformed arguments and
+configurations a built-in cannot serve, 3 a section obstruction (no
+admissible correction exists), 4 iteration budget exhausted.
 All output is deterministic for a fixed argument list and seed.
 """
 
@@ -12,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 from .differential import (
     DifferentialFieldSpec,
@@ -39,52 +39,38 @@ from .solver import trace_entries
 from .valuegroups import OrderedValue, ValueGroup, group_by_name, ov_format, ov_parse
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    field: CoefficientField
-    group: ValueGroup
-    precision: OrderedValue
-    max_iter: int
-    output: str
-
-    def as_dict(self) -> dict:
-        return {
-            "field": self.field.name,
-            "group": self.group.name,
-            "precision": ov_format(self.group, self.precision),
-            "max_iter": self.max_iter,
-            "output": self.output,
-        }
-
-
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    field = field_by_name(args.field)
-    group = group_by_name(args.group)
+def _budget(args: argparse.Namespace, group: ValueGroup) -> OrderedValue:
+    """``--precision`` as a value; ``--max-iter`` checked positive."""
     if args.max_iter <= 0:
         raise ParseError("--max-iter must be positive")
-    return CliConfig(
-        field=field,
-        group=group,
-        precision=ov_parse(group, args.precision),
-        max_iter=args.max_iter,
-        output=args.output,
-    )
+    return ov_parse(group, args.precision)
 
 
 def _product_text(t: ProductElement) -> str:
     return "(" + "; ".join(series_to_text(s) for s in t.components) + ")"
 
 
-def _emit(config: CliConfig, command: str, text_lines: list[str], result: dict, trace: list[dict]):
-    if config.output == "json":
+def _emit(
+    args: argparse.Namespace,
+    field: CoefficientField,
+    group: ValueGroup,
+    text_lines: list[str],
+    result: dict,
+    trace: list[dict],
+    precision: OrderedValue | None = None,
+):
+    """Print the text lines, or one JSON object whose ``config`` echoes the
+    shared options this command takes; ``precision`` is passed exactly by
+    the commands that take ``--precision`` and ``--max-iter``."""
+    if args.output == "json":
+        config = {"field": field.name, "group": group.name}
+        if precision is not None:
+            config["precision"] = ov_format(group, precision)
+            config["max_iter"] = args.max_iter
+        config["output"] = args.output
         print(
             json.dumps(
-                {
-                    "command": command,
-                    "config": config.as_dict(),
-                    "result": result,
-                    "trace": trace,
-                }
+                {"command": args.command, "config": config, "result": result, "trace": trace}
             )
         )
     else:
@@ -92,97 +78,96 @@ def _emit(config: CliConfig, command: str, text_lines: list[str], result: dict, 
             print(line)
 
 
-def cmd_integrate(config: CliConfig, args: argparse.Namespace) -> int:
-    derivation = parse_derivation(config.field, config.group, args.derivation)
-    dspec = DifferentialFieldSpec(config.field, config.group, derivation)
-    b = parse_series(config.field, config.group, args.series)
-    result = integrate(dspec, b, precision=config.precision, max_iter=config.max_iter)
-    trace = trace_entries(result, series_to_text, functools.partial(ov_format, config.group))
+def cmd_integrate(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> int:
+    precision = _budget(args, group)
+    derivation = parse_derivation(field, group, args.derivation)
+    dspec = DifferentialFieldSpec(field, group, derivation)
+    b = parse_series(field, group, args.series)
+    result = integrate(dspec, b, precision=precision, max_iter=args.max_iter)
+    trace = trace_entries(result, group, series_to_text)
     lines = [
         f"solution: {series_to_text(result.solution)}",
-        f"residual_value: {ov_format(config.group, result.residual_value)}",
+        f"residual_value: {ov_format(group, result.residual_value)}",
         f"iterations: {result.iterations}",
         f"exact: {'true' if result.exact else 'false'}",
     ]
     lines += [f"trace: {json.dumps(entry)}" for entry in trace]
     _emit(
-        config,
-        "integrate",
+        args,
+        field,
+        group,
         lines,
         {
             "solution": series_to_json_dict(result.solution),
-            "residual_value": ov_format(config.group, result.residual_value),
+            "residual_value": ov_format(group, result.residual_value),
             "iterations": result.iterations,
             "exact": result.exact,
         },
         trace,
+        precision,
     )
     return 0
 
 
-def cmd_derive(config: CliConfig, args: argparse.Namespace) -> int:
-    derivation = parse_derivation(config.field, config.group, args.derivation)
-    DifferentialFieldSpec(config.field, config.group, derivation)
-    s = parse_series(config.field, config.group, args.series)
+def cmd_derive(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> int:
+    derivation = parse_derivation(field, group, args.derivation)
+    DifferentialFieldSpec(field, group, derivation)
+    s = parse_series(field, group, args.series)
     image = derive(derivation, s)
-    _emit(
-        config,
-        "derive",
-        [series_to_text(image)],
-        {"series": series_to_json_dict(image)},
-        [],
-    )
+    _emit(args, field, group, [series_to_text(image)], {"series": series_to_json_dict(image)}, [])
     return 0
 
 
-def cmd_decompose(config: CliConfig, args: argparse.Namespace) -> int:
+def cmd_decompose(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> int:
+    precision = _budget(args, group)
     subgroups = [
-        parse_subgroup(config.field, config.group, part)
+        parse_subgroup(field, group, part)
         for part in _split_top_level(args.parts, ",")
         if part.strip()
     ]
     if not subgroups:
         raise ParseError("--parts needs at least one pattern")
-    a = parse_series(config.field, config.group, args.series)
-    result = decompose_solve(
-        subgroups, a, precision=config.precision, max_iter=config.max_iter
-    )
+    a = parse_series(field, group, args.series)
+    result = decompose_solve(subgroups, a, precision=precision, max_iter=args.max_iter)
     parts: ProductElement = result.solution
     if a.terms:
         verdict = "pass" if check_pseudo_direct_witness(a, parts) else "FAIL"
     else:
         verdict = "vacuous"
-    trace = trace_entries(result, _product_text, functools.partial(ov_format, config.group))
+    trace = trace_entries(result, group, _product_text)
     lines = [
         f"part {sub.name}: {series_to_text(s)}"
         for sub, s in zip(subgroups, parts.components)
     ]
     lines.append(f"witness: {verdict}")
-    lines.append(f"residual_value: {ov_format(config.group, result.residual_value)}")
+    lines.append(f"residual_value: {ov_format(group, result.residual_value)}")
     _emit(
-        config,
-        "decompose",
+        args,
+        field,
+        group,
         lines,
         {
             "parts": [series_to_json_dict(s) for s in parts.components],
             "witness": verdict,
-            "residual_value": ov_format(config.group, result.residual_value),
+            "residual_value": ov_format(group, result.residual_value),
             "iterations": result.iterations,
         },
         trace,
+        precision,
     )
     return 0
 
 
-def cmd_check(config: CliConfig, args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> int:
     if args.samples < 0:
         raise ParseError("--samples must be nonnegative")
-    instance = build_instance(args.instance, config.field, config.group)
+    instance = build_instance(args.instance, field, group)
     reports = run_instance_checks(instance, seed=args.seed, samples=args.samples)
     lines = [r.summary() for r in reports]
     _emit(
-        config,
-        "check",
+        args,
+        field,
+        group,
         lines,
         {
             "instance": instance.name,
@@ -203,21 +188,22 @@ def cmd_check(config: CliConfig, args: argparse.Namespace) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def cmd_quotient(config: CliConfig, args: argparse.Namespace) -> int:
-    alpha = ov_parse(config.group, args.alpha)
-    s = parse_series(config.field, config.group, args.series)
+def cmd_quotient(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> int:
+    alpha = ov_parse(group, args.alpha)
+    s = parse_series(field, group, args.series)
     truncated = s.truncate(alpha)
     value = s.quotient_valuation(alpha)
     _emit(
-        config,
-        "quotient",
+        args,
+        field,
+        group,
         [
             f"class: {series_to_text(truncated)}",
-            f"value: {ov_format(config.group, value)}",
+            f"value: {ov_format(group, value)}",
         ],
         {
             "class": series_to_json_dict(truncated),
-            "value": ov_format(config.group, value),
+            "value": ov_format(group, value),
         },
         [],
     )
@@ -228,9 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="rationals", help="rationals or prime:<p>")
     common.add_argument("--group", default="int", help="int, rat or lex2")
-    common.add_argument("--precision", default="inf", help="exponent cutoff or inf")
-    common.add_argument("--max-iter", type=int, default=10000)
     common.add_argument("--output", choices=["text", "json"], default="text")
+    # taken only by the commands that run the solver
+    solving = argparse.ArgumentParser(add_help=False)
+    solving.add_argument("--precision", default="inf", help="exponent cutoff or inf")
+    solving.add_argument("--max-iter", type=int, default=10000)
 
     parser = argparse.ArgumentParser(
         prog="hahnsolve",
@@ -239,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("integrate", parents=[common], help="solve D(a) = b")
+    p = sub.add_parser("integrate", parents=[common, solving], help="solve D(a) = b")
     p.add_argument("--derivation", default="ddt")
     p.add_argument("series")
     p.set_defaults(handler=cmd_integrate)
@@ -250,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_derive)
 
     p = sub.add_parser(
-        "decompose", parents=[common], help="split a series across subgroups"
+        "decompose", parents=[common, solving], help="split a series across subgroups"
     )
     p.add_argument("--parts", required=True, help="comma-separated patterns")
     p.add_argument("series")
@@ -280,19 +268,21 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _config_from(args)
-        return args.handler(config, args)
-    except ParseError as e:
+        field, group = field_by_name(args.field), group_by_name(args.group)
+        return args.handler(args, field, group)
+    except (ParseError, ZeroDivisionError) as e:
+        # a ZeroDivisionError here is a rational exponent whose denominator
+        # the prime field's characteristic divides: no built-in serves it
         print(f"error: {e}", file=sys.stderr)
         return 2
     except IterationLimit as e:
-        value = ov_format(config.group, e.residual_value)
+        value = ov_format(group, e.residual_value)
         print(f"error: {e} (residual value {value})", file=sys.stderr)
         return 4
     except SectionFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (IndeterminateValuation, ValueError, ZeroDivisionError) as e:
+    except (IndeterminateValuation, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -107,10 +107,9 @@ def from_tables(
     group: ValueGroup,
     scale_table: dict[GroupElement, FieldElement],
     shift_table: dict[GroupElement, GroupElement] | None = None,
-    name: str = "table",
 ) -> TermwiseDerivation:
-    """Derivation from finite tables; ``d`` is zero off-table, ``sigma`` the
-    identity off-table.
+    """Derivation named ``custom`` from finite tables; ``d`` is zero
+    off-table, ``sigma`` the identity off-table.
 
     Rejected at construction when the shift is not injective on the exponents
     that survive (``d != 0``): an ambiguous shift would leave the leading-term
@@ -137,7 +136,7 @@ def from_tables(
         return min(images) if images else INFINITY
 
     return TermwiseDerivation(
-        name=name,
+        name="custom",
         scale=lambda g: scale_table.get(g, field.zero),
         shift=lambda g: shift_table.get(g, g),
         shift_inverse=inverse.get,
@@ -371,4 +370,4 @@ def parse_derivation(
             if g in table:
                 raise ParseError(f"repeated exponent {group.format(g)} in {prefix} table")
             table[g] = read(value_text)
-    return from_tables(field, group, scale_table, shift_table, name="custom")
+    return from_tables(field, group, scale_table, shift_table)

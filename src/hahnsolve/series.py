@@ -291,11 +291,9 @@ class SeriesSpace(ValuedGroup):
     def valuation(self, a: Series) -> OrderedValue:
         return a.valuation()
 
-    def monomial(
-        self, coefficient, exponent: GroupElement, truncation: OrderedValue = INFINITY
-    ) -> Series:
+    def monomial(self, coefficient, exponent: GroupElement) -> Series:
         return make_series(
-            self.field, self.group, [(self._coeff(coefficient), exponent)], truncation
+            self.field, self.group, [(self._coeff(coefficient), exponent)], INFINITY
         )
 
     def series(

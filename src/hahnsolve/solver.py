@@ -21,7 +21,6 @@ the constructive content of transferring spherical completeness.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .reporting import CheckReport
 from .ultrametric import Ball, Nest, ValuedGroup, intersect_finite_nest
-from .valuegroups import INFINITY, OrderedValue
+from .valuegroups import INFINITY, OrderedValue, ValueGroup, ov_format
 
 DEFAULT_MAX_ITER = 10000
 
@@ -76,11 +75,9 @@ class ValueMap:
     domain_contains: Callable[[OrderedValue], bool]
 
 
-def identity_value_map(
-    domain_contains: Callable[[OrderedValue], bool] = lambda _v: True,
-) -> ValueMap:
+def identity_value_map() -> ValueMap:
     ident = lambda v: v
-    return ValueMap(forward=ident, inverse=ident, domain_contains=domain_contains)
+    return ValueMap(forward=ident, inverse=ident, domain_contains=lambda _v: True)
 
 
 @dataclass(frozen=True)
@@ -157,33 +154,18 @@ def solve(
         trace.append(TraceStep(k, new_value, s))
 
 
-def default_value_str(v: OrderedValue) -> str:
-    return "inf" if v.is_infinite else str(v.finite)
-
-
 def trace_entries(
-    result: SolveResult,
-    term_str: Callable[[Any], str] = str,
-    value_str: Callable[[OrderedValue], str] = default_value_str,
+    result: SolveResult, group: ValueGroup, term_str: Callable[[Any], str] = str
 ) -> list[dict]:
     """One JSON-ready dict per correction: iteration, residual value, term."""
     return [
         {
             "iter": step.iteration,
-            "residual_value": value_str(step.residual_value),
+            "residual_value": ov_format(group, step.residual_value),
             "term": term_str(step.term),
         }
         for step in result.trace
     ]
-
-
-def trace_to_json_lines(
-    result: SolveResult,
-    term_str: Callable[[Any], str] = str,
-    value_str: Callable[[OrderedValue], str] = default_value_str,
-) -> list[str]:
-    """One JSON object per correction, for audit logs and golden tests."""
-    return [json.dumps(entry) for entry in trace_entries(result, term_str, value_str)]
 
 
 # -- hypothesis checks (sample-based, reported, never assumed) -------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hahnsolve.cli import main
+from hahnsolve.cli import build_parser, main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -273,10 +273,11 @@ class TestArgumentErrors:
             ["derive", "{}*t^1"],
             ["derive", "--group", "rat", "t^{}"],
             ["quotient", "--group", "rat", "--alpha={}", "t^1"],
-            ["derive", "--precision={}", "t^1"],
+            ["integrate", "--precision={}", "t^1"],
             ["decompose", "--parts", "mod:{}:0", "t^1"],
             ["derive", "--field", "prime:{}", "t^1"],
             ["derive", "--derivation", "d:1={}", "t^1"],
+            ["decompose", "--precision={}", "--parts", "even", "t^1"],
         ],
     )
     @pytest.mark.parametrize("number", ["1.5", "1e1", "1_0", "\u0663", "1/0", "1/-2", "(1,2,3)"])
@@ -300,3 +301,72 @@ class TestArgumentErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "integer or rational exponents" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--instance", "euler", "--field", "prime:3", "--group", "rat", "--samples", "20"],
+            ["check", "--instance", "ddt", "--field", "prime:2", "--group", "rat", "--samples", "20"],
+            ["integrate", "--field", "prime:2", "--group", "rat", "t^1/2"],
+            ["derive", "--field", "prime:3", "--group", "rat", "t^1/3"],
+        ],
+    )
+    def test_exponent_without_image_in_prime_field_exits_two(self, argv):
+        # the power rule scales by the exponent, which has no image in GF(p)
+        # when p divides its denominator
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "has no image in gf(" in err
+
+    @pytest.mark.parametrize("instance", ["euler", "ddt"])
+    @pytest.mark.parametrize("p", ["5", "7"])
+    def test_prime_field_with_rat_exponents_still_checks(self, instance, p):
+        code, out, _ = run_cli(
+            ["check", "--instance", instance, "--field", f"prime:{p}", "--group", "rat", "--samples", "20"]
+        )
+        assert code == 0
+        assert "FAIL" not in out
+
+
+# the options every subcommand may share, in the order the JSON config echoes them
+SHARED_OPTIONS = ("field", "group", "precision", "max_iter", "output")
+MINIMAL_ARGV = {
+    "integrate": ["integrate", "t^1"],
+    "derive": ["derive", "t^1"],
+    "decompose": ["decompose", "--parts", "even,odd", "t^1"],
+    "check": ["check", "--samples", "1"],
+    "quotient": ["quotient", "--alpha", "2", "t^1"],
+}
+
+
+class TestSharedOptions:
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    def test_json_config_echoes_exactly_the_options_taken(self, command):
+        argv = MINIMAL_ARGV[command]
+        defined = vars(build_parser().parse_args(argv))
+        code, out, _ = run_cli([*argv, "--output", "json"])
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert list(config) == [name for name in SHARED_OPTIONS if name in defined]
+
+    @pytest.mark.parametrize("command", ["derive", "check", "quotient"])
+    @pytest.mark.parametrize("option", [["--precision", "3"], ["--max-iter", "1"]])
+    def test_solver_options_are_refused_where_no_solver_runs(self, command, option):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli([*MINIMAL_ARGV[command], *option])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["integrate", "decompose"])
+    def test_solver_commands_echo_the_budget(self, command):
+        argv = [*MINIMAL_ARGV[command], "--precision", "04", "--max-iter", "7", "--output", "json"]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert json.loads(out)["config"] == {
+            "field": "rationals",
+            "group": "int",
+            "precision": "4",
+            "max_iter": 7,
+            "output": "json",
+        }

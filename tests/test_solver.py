@@ -1,6 +1,5 @@
 """Correction engine: solve loop, failure modes, hypothesis audits, nests."""
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -134,15 +133,16 @@ class TestTraceJson:
         spec, section, _ = euler_parts
         b = QZ.series([(2, 1), (9, 3)])
         result = hs.solve(spec, section, b)
-        lines = hs.trace_to_json_lines(result, term_str=hs.series_to_text)
-        assert [json.loads(line) for line in lines] == [
+        assert hs.trace_entries(result, hs.INTEGERS, hs.series_to_text) == [
             {"iter": 1, "residual_value": "3", "term": "2*t^1"},
             {"iter": 2, "residual_value": "inf", "term": "3*t^3"},
         ]
-
-    def test_default_value_str(self):
-        assert hs.default_value_str(INF) == "inf"
-        assert hs.default_value_str(OV(-4)) == "-4"
+        # residual values are written in the group's own format
+        step = hs.TraceStep(1, OV((1, 2)), "t^(0,1)")
+        lex = hs.SolveResult(None, OV((1, 2)), 1, False, (step,))
+        assert hs.trace_entries(lex, hs.LEX2) == [
+            {"iter": 1, "residual_value": "(1,2)", "term": "t^(0,1)"}
+        ]
 
 
 class TestHypothesisChecks:
