@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     SectionFailure,
 )
-from .fields import CoefficientField, _split_top_level, field_by_name
+from .fields import CoefficientField, _split_top_level, field_by_name, parse_number
 from .fixtures import build_instance, instance_names, run_instance_checks
 from .parsing import parse_series, series_to_json_dict, series_to_text
 from .pseudo_direct import (
@@ -39,11 +39,18 @@ from .solver import trace_entries
 from .valuegroups import OrderedValue, ValueGroup, group_by_name, ov_format, ov_parse
 
 
-def _budget(args: argparse.Namespace, group: ValueGroup) -> OrderedValue:
-    """``--precision`` as a value; ``--max-iter`` checked positive."""
-    if args.max_iter <= 0:
-        raise ParseError("--max-iter must be positive")
-    return ov_parse(group, args.precision)
+class _OptionError(Exception):
+    """A ``ParseError`` from an option's ``type=``; argparse would print usage for it."""
+
+
+def _integer(name: str, least: int | None, text: str) -> int:
+    try:
+        n = parse_number(text, name, integer=True)
+        if least is not None and n < least:
+            raise ParseError(f"{name} must be at least {least}")
+        return n
+    except ParseError as e:
+        raise _OptionError(e) from None
 
 
 def _product_text(t: ProductElement) -> str:
@@ -79,7 +86,7 @@ def _emit(
 
 
 def cmd_integrate(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> int:
-    precision = _budget(args, group)
+    precision = ov_parse(group, args.precision)
     derivation = parse_derivation(field, group, args.derivation)
     dspec = DifferentialFieldSpec(field, group, derivation)
     b = parse_series(field, group, args.series)
@@ -119,7 +126,7 @@ def cmd_derive(args: argparse.Namespace, field: CoefficientField, group: ValueGr
 
 
 def cmd_decompose(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> int:
-    precision = _budget(args, group)
+    precision = ov_parse(group, args.precision)
     subgroups = [
         parse_subgroup(field, group, part)
         for part in _split_top_level(args.parts, ",")
@@ -159,8 +166,6 @@ def cmd_decompose(args: argparse.Namespace, field: CoefficientField, group: Valu
 
 
 def cmd_check(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> int:
-    if args.samples < 0:
-        raise ParseError("--samples must be nonnegative")
     instance = build_instance(args.instance, field, group)
     reports = run_instance_checks(instance, seed=args.seed, samples=args.samples)
     lines = [r.summary() for r in reports]
@@ -218,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     # taken only by the commands that run the solver
     solving = argparse.ArgumentParser(add_help=False)
     solving.add_argument("--precision", default="inf", help="exponent cutoff or inf")
-    solving.add_argument("--max-iter", type=int, default=10000)
+    solving.add_argument(
+        "--max-iter", type=functools.partial(_integer, "--max-iter", 1), default=10000
+    )
 
     parser = argparse.ArgumentParser(
         prog="hahnsolve",
@@ -246,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common], help="run hypothesis checks")
     p.add_argument("--instance", default="euler", help=", ".join(instance_names()))
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=functools.partial(_integer, "--samples", 0), default=200)
+    p.add_argument("--seed", type=functools.partial(_integer, "--seed", None), default=0)
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser(
@@ -266,11 +273,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         field, group = field_by_name(args.field), group_by_name(args.group)
         return args.handler(args, field, group)
-    except (ParseError, ZeroDivisionError) as e:
+    except (ParseError, _OptionError, ZeroDivisionError) as e:
         # a ZeroDivisionError here is a rational exponent whose denominator
         # the prime field's characteristic divides: no built-in serves it
         print(f"error: {e}", file=sys.stderr)

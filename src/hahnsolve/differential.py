@@ -14,10 +14,11 @@ exactly when the leading exponent has an admissible preimage under sigma; for
 ``ddt`` the exponent -1 has none (the classical logarithm obstruction), and
 the failure is reported, not silently absorbed.
 
-The distinguished solution subset is the series without constant term, which
-meets the kernel of either built-in only in zero, making the solution unique
-there.  Differential-valuation compatibility conditions are checked on
-samples by pure value arithmetic; no series division is ever performed.
+The distinguished solution subset is the series whose support avoids zero
+and each exponent where ``d`` vanishes (for the built-ins over GF(p), each
+multiple of p), which carry the kernel; so solutions there are unique.
+Differential-valuation compatibility conditions are checked on samples by
+pure value arithmetic; no series division is ever performed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Sequence
 from .errors import AmbiguousShift, Obstruction, ParseError, UnmappedValue
 from .fields import CoefficientField, FieldElement, _split_top_level
 from .reporting import CheckReport
-from .series import Series, SeriesSpace, make_series
+from .series import Series, SeriesSpace, Term, _trusted, make_series
 from .solver import (
     DEFAULT_MAX_ITER,
     AsymptoticSection,
@@ -57,6 +58,8 @@ class TermwiseDerivation:
     preimage exists; uniqueness is the constructor's burden (table-built
     derivations reject ambiguous shifts outright).  ``map_truncation``
     carries a precision bound through the derivation conservatively.
+    ``increasing`` declares the shift strictly increasing on live exponents
+    (``d(g) != 0``): true of the power rule, decided once for a table.
     """
 
     name: str
@@ -64,6 +67,7 @@ class TermwiseDerivation:
     shift: Callable[[GroupElement], GroupElement]
     shift_inverse: Callable[[GroupElement], GroupElement | None]
     map_truncation: Callable[[OrderedValue], OrderedValue]
+    increasing: bool = False
 
 
 def _unit_for(group: ValueGroup) -> GroupElement:
@@ -89,7 +93,7 @@ def _power_rule(
         g2 = unshift(g)
         return g2 if not field.is_zero(field.coerce(g2)) else None
 
-    return TermwiseDerivation(name, field.coerce, shift, shift_inverse, map_truncation)
+    return TermwiseDerivation(name, field.coerce, shift, shift_inverse, map_truncation, True)
 
 
 def ddt(field: CoefficientField, group: ValueGroup) -> TermwiseDerivation:
@@ -117,23 +121,17 @@ def from_tables(
     """
     shift_table = dict(shift_table or {})
     scale_table = dict(scale_table)
-    live = {g for g, c in scale_table.items() if not field.is_zero(c)}
-    inverse: dict[GroupElement, GroupElement] = {}
-    for g in live:
-        image = shift_table.get(g, g)
-        if image in inverse:
-            raise AmbiguousShift(image)
-        inverse[image] = g
+    live = sorted(g for g, c in scale_table.items() if not field.is_zero(c))
+    images = [shift_table.get(g, g) for g in live]
+    inverse = dict(zip(images, live))
+    if len(inverse) < len(live):
+        raise AmbiguousShift(next(h for h in images if images.count(h) > 1))
 
     def map_truncation(t: OrderedValue) -> OrderedValue:
         # Unknown terms sit at exponents >= t; only table entries there can
         # contribute, so the least of their images bounds the unknown output.
-        images = [
-            OrderedValue(shift_table.get(g, g))
-            for g in live
-            if not OrderedValue(g) < t
-        ]
-        return min(images) if images else INFINITY
+        above = [OrderedValue(h) for g, h in zip(live, images) if not OrderedValue(g) < t]
+        return min(above) if above else INFINITY
 
     return TermwiseDerivation(
         name="custom",
@@ -141,6 +139,7 @@ def from_tables(
         shift=lambda g: shift_table.get(g, g),
         shift_inverse=inverse.get,
         map_truncation=map_truncation,
+        increasing=all(a < b for a, b in zip(images, images[1:])),
     )
 
 
@@ -167,18 +166,25 @@ class DifferentialFieldSpec:
 
 
 def derive(derivation: TermwiseDerivation, s: Series) -> Series:
-    """Apply the derivation to every term; precision carried conservatively."""
-    terms = [
-        (s.field.mul(c, derivation.scale(g)), derivation.shift(g)) for c, g in s.terms
-    ]
-    truncation = (
-        INFINITY if s.truncation.is_infinite else derivation.map_truncation(s.truncation)
-    )
-    return make_series(s.field, s.group, terms, truncation)
+    """Apply the derivation to every term; precision carried conservatively.
+    An ``increasing`` shift keeps the term order, so zero products are dropped
+    and nothing is cut: no kept image reaches the mapped bound."""
+    field, scale, shift = s.field, derivation.scale, derivation.shift
+    products = (Term(field.mul(c, scale(g)), shift(g)) for c, g in s.terms)
+    truncation = s.truncation if s.is_exact else derivation.map_truncation(s.truncation)
+    if not derivation.increasing:
+        return make_series(field, s.group, products, truncation)
+    kept = tuple(t for t in products if not field.is_zero(t.coefficient))
+    return _trusted(field, s.group, kept, truncation)
 
 
 def has_no_constant_term(s: Series) -> bool:
     return s.group.zero not in s.support
+
+
+def _outside_subset(dspec: DifferentialFieldSpec) -> Callable[[GroupElement], bool]:
+    """Exponents a solution never carries: zero, and where ``d`` vanishes."""
+    return lambda g: g == dspec.group.zero or dspec.field.is_zero(dspec.derivation.scale(g))
 
 
 def asymptotic_section(dspec: DifferentialFieldSpec, b: Series) -> Series:
@@ -186,36 +192,31 @@ def asymptotic_section(dspec: DifferentialFieldSpec, b: Series) -> Series:
 
     Subtracting its derivative strictly raises the residual's value.  Raises
     ``Obstruction`` naming the leading exponent when no admissible preimage
-    exists under the shift.
+    exists under the shift.  The preimage is live, so ``c / d(g2)`` is nonzero.
     """
     c, g = b.leading_term()
     g2 = dspec.derivation.shift_inverse(g)
     if g2 is None:
         raise Obstruction(g)
     coeff = dspec.field.div(c, dspec.derivation.scale(g2))
-    return make_series(dspec.field, dspec.group, [(coeff, g2)], INFINITY)
+    return _trusted(dspec.field, dspec.group, (Term(coeff, g2),), INFINITY)
 
 
 def integration_instance(
     dspec: DifferentialFieldSpec,
 ) -> tuple[HomomorphismSpec, AsymptoticSection, ValueMap]:
-    """Solver instance for ``D(a) = b`` on series without constant term."""
+    """Solver instance for ``D(a) = b`` on the solution subset."""
     space = dspec.space
     derivation = dspec.derivation
     spec = HomomorphismSpec(
         domain=space, codomain=space, apply=lambda s: derive(derivation, s)
     )
+    outside = _outside_subset(dspec)
     section = AsymptoticSection(
         section=lambda b: asymptotic_section(dspec, b),
-        contains=has_no_constant_term,
+        contains=lambda s: not any(map(outside, s.support)),
     )
-
-    def admissible(v: OrderedValue) -> bool:
-        return (
-            not v.is_infinite
-            and v.finite != dspec.group.zero
-            and not dspec.field.is_zero(derivation.scale(v.finite))
-        )
+    admissible = lambda v: not v.is_infinite and not outside(v.finite)
 
     def forward(v: OrderedValue) -> OrderedValue:
         return v if v.is_infinite else OrderedValue(derivation.shift(v.finite))
@@ -238,7 +239,7 @@ def integrate(
     precision: OrderedValue = INFINITY,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SolveResult:
-    """Solve ``D(a) = b`` for ``a`` without constant term, to ``precision``."""
+    """Solve ``D(a) = b`` for ``a`` in the solution subset, to ``precision``."""
     spec, section, _ = integration_instance(dspec)
     return solve(spec, section, b, precision=precision, max_iter=max_iter)
 

@@ -24,6 +24,7 @@ from typing import Callable
 
 from .differential import (
     DifferentialFieldSpec,
+    _outside_subset,
     check_derivative_monotonicity,
     check_differential_valuation,
     ddt,
@@ -103,21 +104,15 @@ def _samplers(
     return sections, pairs, targets
 
 
-def _not_in_subset(dspec: DifferentialFieldSpec) -> Callable:
-    """Exponents outside the section's subset: zero, and where ``d`` vanishes."""
-    zero = dspec.group.zero
-    return lambda g: g == zero or dspec.field.is_zero(dspec.derivation.scale(g))
-
-
 def _derivation_samplers(dspec: DifferentialFieldSpec):
     unsolvable = lambda g: dspec.derivation.shift_inverse(g) is None
-    return _samplers(dspec.space, _not_in_subset(dspec), unsolvable)
+    return _samplers(dspec.space, _outside_subset(dspec), unsolvable)
 
 
 def _small_pairs(rng: random.Random, dspec: DifferentialFieldSpec, n: int) -> list[tuple]:
     # numerator samples have value >= 0, denominators strictly positive
     # with surviving derivatives, as the check's hypothesis demands
-    space, outside = dspec.space, _not_in_subset(dspec)
+    space, outside = dspec.space, _outside_subset(dspec)
     return [
         (
             random_series(rng, space, 0, 10, 5),
@@ -128,7 +123,7 @@ def _small_pairs(rng: random.Random, dspec: DifferentialFieldSpec, n: int) -> li
 
 
 def _nonzero_value_pairs(rng: random.Random, dspec: DifferentialFieldSpec, n: int):
-    space, outside = dspec.space, _not_in_subset(dspec)
+    space, outside = dspec.space, _outside_subset(dspec)
     draw = lambda: random_series(rng, space, -10, 10, 5, nonzero=True, forbid=outside)
     return [(draw(), draw()) for _ in range(n)]
 
@@ -211,7 +206,7 @@ def _broken_progress(field: CoefficientField, group: ValueGroup) -> CheckInstanc
     every target while the order and comparison checks still pass.
     """
     dspec = DifferentialFieldSpec(field, group, euler(field, group))
-    spec, _honest_section, _value_map = integration_instance(dspec)
+    spec, honest_section, _value_map = integration_instance(dspec)
     two = field.coerce(2)
 
     def section(b: Series) -> Series:
@@ -222,7 +217,7 @@ def _broken_progress(field: CoefficientField, group: ValueGroup) -> CheckInstanc
         "broken-progress",
         "section corrects only half of each leading term",
         spec,
-        AsymptoticSection(section=section, contains=has_no_constant_term),
+        AsymptoticSection(section=section, contains=honest_section.contains),
         *_derivation_samplers(dspec),
     )
 

@@ -47,9 +47,10 @@ class Series:
     strictly below ``truncation``, and exponents are strictly ascending.
     A direct construction checks all three and raises ``ValueError`` if one
     fails.  ``make_series`` (and the ``SeriesSpace`` helpers) normalizes an
-    arbitrary term list; it and the arithmetic below (``add``, ``sub``,
-    ``neg``, ``scale``, ``truncate`` and ``SeriesSpace.zero``) build their
-    results without the check, because the invariants hold by construction.
+    arbitrary term list; it, the arithmetic below (``add``, ``sub``, ``neg``,
+    ``scale``, ``truncate`` and ``SeriesSpace.zero``), ``derive`` under an
+    increasing shift and ``asymptotic_section`` build their results without
+    the check, because the invariants hold by construction.
     """
 
     field: CoefficientField
@@ -236,8 +237,9 @@ def _merge(x: Series, y: Series, negate: bool) -> Series:
 
     An empty operand whose truncation is not below the other's is the
     identity, and the other operand (negated for ``0 - y``) is returned as is.
-    Otherwise the merge walks the shorter operand and finds each of its
-    exponents in the longer one by bisection, so the runs in between are
+    Otherwise the merge walks the shorter operand and places each of its
+    exponents in the longer one (past the end or at the cursor, where a
+    correction step lands, else by bisection), so the runs in between are
     copied as slices; only coefficients at shared exponents are added and
     tested for zero.  The result is cut at the smaller truncation.
     """
@@ -253,7 +255,10 @@ def _merge(x: Series, y: Series, negate: bool) -> Series:
     i = 0
     for term in short:
         g = term.exponent
-        j = bisect_left(long, g, i, key=_exponent)
+        if g > long[-1].exponent:
+            j = len(long)
+        else:
+            j = i if g <= long[i].exponent else bisect_left(long, g, i, key=_exponent)
         out += long[i:j]
         if j < len(long) and long[j].exponent == g:
             c = field.add(term.coefficient, long[j].coefficient)

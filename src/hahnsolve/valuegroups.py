@@ -10,7 +10,6 @@ and kept as a three-way API.
 
 from __future__ import annotations
 
-import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,7 +153,6 @@ RATIONALS = RationalGroup()
 LEX2 = LexPair(INTEGERS, INTEGERS)
 
 
-@functools.total_ordering
 @dataclass(frozen=True)
 class OrderedValue:
     """An element of a value group, or the adjoined top element.
@@ -171,6 +169,15 @@ class OrderedValue:
 
     def __lt__(self, other: "OrderedValue") -> bool:
         return ov_compare(self, other) < 0
+
+    def __le__(self, other: "OrderedValue") -> bool:
+        return ov_compare(self, other) <= 0
+
+    def __gt__(self, other: "OrderedValue") -> bool:
+        return ov_compare(self, other) > 0
+
+    def __ge__(self, other: "OrderedValue") -> bool:
+        return ov_compare(self, other) >= 0
 
     def __repr__(self):
         return "OrderedValue(inf)" if self.is_infinite else f"OrderedValue({self.finite!r})"

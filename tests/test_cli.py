@@ -278,6 +278,9 @@ class TestArgumentErrors:
             ["derive", "--field", "prime:{}", "t^1"],
             ["derive", "--derivation", "d:1={}", "t^1"],
             ["decompose", "--precision={}", "--parts", "even", "t^1"],
+            ["integrate", "--max-iter={}", "t^1"],
+            ["check", "--samples={}"],
+            ["check", "--seed={}"],
         ],
     )
     @pytest.mark.parametrize("number", ["1.5", "1e1", "1_0", "\u0663", "1/0", "1/-2", "(1,2,3)"])

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hahnsolve as hs
+from hahnsolve import differential
 
 from .conftest import QZ, F5Z, coefficients, exact_series
 
@@ -104,6 +105,92 @@ class TestPowerRuleClosedForm:
             assert image.truncation == (INF if exact else OV(cut - step))
 
 
+def _normalised_image(derivation, s):
+    """``derive``'s answer rebuilt through ``make_series`` from the same
+    products and the same mapped bound."""
+    products = [(s.field.mul(c, derivation.scale(g)), derivation.shift(g)) for c, g in s.terms]
+    cut = INF if s.is_exact else derivation.map_truncation(s.truncation)
+    return hs.make_series(s.field, s.group, products, cut)
+
+
+class TestInOrderDeriveMatchesNormaliser:
+    """Under an increasing shift ``derive`` builds its image in input order;
+    the normaliser must agree term for term and on the truncation."""
+
+    @staticmethod
+    def _series(rng, space, exact):
+        # exponents in [-12, 12] include multiples of 3 and 7, where the
+        # power rule vanishes over GF(3) and GF(7); rat denominators avoid both
+        def exponent(n):
+            return n if space.group == hs.INTEGERS else Fraction(n, rng.choice((1, 2, 4)))
+
+        n = rng.randint(0, 8)
+        pairs = [(rng.randint(1, 6), exponent(rng.randint(-12, 12))) for _ in range(n)]
+        return space.series(pairs, INF if exact else OV(exponent(rng.randint(-8, 10))))
+
+    @pytest.mark.parametrize(
+        "field", [hs.QQ, hs.PrimeField(3), hs.PrimeField(7)], ids=["QQ", "GF3", "GF7"]
+    )
+    @pytest.mark.parametrize("group", [hs.INTEGERS, hs.RATIONALS], ids=["int", "rat"])
+    @pytest.mark.parametrize("name", ["ddt", "euler"])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "truncated"])
+    def test_power_rule(self, field, group, name, exact):
+        rng = random.Random(f"{field.name}/{group.name}/{name}/{exact}")
+        derivation = hs.parse_derivation(field, group, name)
+        assert derivation.increasing
+        space = hs.SeriesSpace(field, group)
+        vanished = 0
+        for _ in range(100):
+            s = self._series(rng, space, exact)
+            image = hs.derive(derivation, s)
+            expected = _normalised_image(derivation, s)
+            assert image.terms == expected.terms
+            assert image.truncation == expected.truncation
+            vanished += len(s.terms) - len(image.terms)
+        assert vanished > 0  # every variant meets exponents where d vanishes
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_tables(self, seed):
+        # three in four tables are increasing; the rest check the flag's "no"
+        rng = random.Random(seed)
+        field = rng.choice((hs.QQ, hs.PrimeField(3), hs.PrimeField(7)))
+        live = sorted(rng.sample(range(-8, 9), rng.randint(0, 6)))
+        images = sorted(rng.sample(range(-12, 13), len(live)))
+        if seed % 4 == 3:
+            rng.shuffle(images)  # some tables are not increasing
+        scale = {g: rng.randint(1, 5) for g in live}
+        shift = dict(zip(live, images))
+        for g in rng.sample(range(-8, 9), 3):  # dead entries shift anywhere
+            if g not in scale:
+                scale[g], shift[g] = 0, rng.randint(-12, 12)
+        scale = {g: field.coerce(c) for g, c in scale.items()}
+        d = hs.from_tables(field, hs.INTEGERS, scale, shift)
+        live_images = [shift[g] for g in sorted(scale) if not field.is_zero(scale[g])]
+        assert d.increasing == (live_images == sorted(live_images))
+        space = hs.SeriesSpace(field, hs.INTEGERS)
+        for exact in (True, False):
+            for _ in range(20):
+                s = self._series(rng, space, exact)
+                image = hs.derive(d, s)
+                expected = _normalised_image(d, s)
+                assert image.terms == expected.terms
+                assert image.truncation == expected.truncation
+
+    def test_order_reversing_table_takes_the_normaliser(self, monkeypatch):
+        d = hs.parse_derivation(hs.QQ, hs.INTEGERS, "d:1=1,2=1;sigma:1=5,2=3")
+        assert not d.increasing
+        calls = []
+        normalise = differential.make_series
+        monkeypatch.setattr(
+            differential, "make_series", lambda *args: calls.append(args) or normalise(*args)
+        )
+        b = QZ.series([(1, 3), (1, 5)])
+        assert hs.derive(d, QZ.series([(1, 1), (1, 2)])) == b
+        assert len(calls) == 1
+        result = hs.integrate(hs.DifferentialFieldSpec(hs.QQ, hs.INTEGERS, d), b)
+        assert result.solution == QZ.series([(1, 1), (1, 2)])
+
+
 class TestFromTables:
     def test_table_action_and_off_table_kill(self):
         d = hs.from_tables(hs.QQ, hs.INTEGERS, {2: Fraction(1), 3: Fraction(3)}, {2: 5})
@@ -191,6 +278,23 @@ class TestIntegrate:
         result = hs.integrate(DDT5, F5Z.monomial(1, 1))
         assert result.solution == F5Z.monomial(3, 2)
         assert hs.derive(DDT5.derivation, result.solution) == F5Z.monomial(1, 1)
+
+    def test_solution_subset_avoids_the_kernel_over_gf3(self):
+        # over GF(3) ddt kills t^3, so a series carrying t^3 is outside the subset
+        f3 = hs.PrimeField(3)
+        dspec = hs.DifferentialFieldSpec(f3, hs.INTEGERS, hs.ddt(f3, hs.INTEGERS))
+        space = dspec.space
+        _spec, section, value_map = hs.integration_instance(dspec)
+        t3 = space.monomial(1, 3)
+        assert hs.derive(dspec.derivation, t3) == space.zero
+        assert not section.contains(t3)
+        assert not section.contains(space.series([(1, 3), (1, 4)]))
+        assert not section.contains(space.monomial(1, 0))
+        assert section.contains(space.monomial(1, 4))
+        assert not value_map.domain_contains(OV(3))
+        solution = hs.integrate(dspec, t3).solution
+        assert solution == space.monomial(1, 4)
+        assert section.contains(solution)
 
     def test_prime_field_obstruction_via_integrate(self):
         with pytest.raises(hs.Obstruction) as excinfo:

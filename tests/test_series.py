@@ -172,6 +172,43 @@ class TestMergeMatchesNormaliser:
             assert _validated(result) == result, name
 
 
+class TestMergePlacesAOneTermOperand:
+    """A one-term operand against four terms at exponents -4, 0, 2, 6: below
+    them, at the cursor, between two, on an inner one, at and past the last."""
+
+    LONG = ((3, -4), (1, 0), (2, 2), (5, 6))
+
+    @pytest.mark.parametrize("space", MERGE_SPACES, ids=lambda s: f"{s.field.name}-{s.group.name}")
+    @pytest.mark.parametrize("at", [-6, -4, 1, 2, 6, 8])
+    @pytest.mark.parametrize("cancel", [False, True], ids=["keep", "cancel"])
+    @pytest.mark.parametrize("one_cut", [None, 1], ids=["one-exact", "one-cut"])
+    @pytest.mark.parametrize("long_cut", [None, 7], ids=["long-exact", "long-cut"])
+    def test_add_and_sub(self, space, at, cancel, one_cut, long_cut):
+        field, group = space.field, space.group
+
+        def exponent(n):
+            return (n, -n) if group == hs.LEX2 else Fraction(n, 2) if group == hs.RATIONALS else n
+
+        def cut(offset):
+            return INF if offset is None else OV(exponent(offset))
+
+        long = space.series([(c, exponent(g)) for c, g in self.LONG], cut(long_cut))
+        shared = dict((g, c) for c, g in self.LONG).get(at)
+        for op in ("add", "sub"):
+            coeff = 4
+            if cancel and shared is not None:
+                coeff = -shared if op == "add" else shared
+            one_bound = cut(None if one_cut is None else at + one_cut)
+            one = space.series([(coeff, exponent(at))], one_bound)
+            assert len(one.terms) == 1
+            for x, y in ((one, long), (long, one)):
+                got = getattr(x, op)(y)
+                ys = [(field.neg(c), g) for c, g in y.terms] if op == "sub" else list(y.terms)
+                cutoff = min(x.truncation, y.truncation)
+                assert got == hs.make_series(field, group, list(x.terms) + ys, cutoff), (op, x, y)
+                assert _validated(got) == got
+
+
 @st.composite
 def identity_operands(draw):
     """Two series over one space, often with empty support, and a scalar.

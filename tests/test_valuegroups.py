@@ -95,6 +95,19 @@ class TestOrderedValue:
         assert finite(3) == hs.OrderedValue(3)
         assert not finite(3).is_infinite
 
+    @pytest.mark.parametrize(
+        "payloads",
+        [(-3, 0, 2), (Fraction(-1, 2), Fraction(0), Fraction(2, 3)), ((0, 5), (1, -5), (1, 0))],
+        ids=["int", "rat", "lex2"],
+    )
+    def test_order_operators_agree_with_ov_compare(self, payloads):
+        values = [hs.OrderedValue(p) for p in payloads]
+        values += [hs.OrderedValue(payloads[1]), hs.INFINITY, hs.OrderedValue(None)]
+        for x in values:
+            for y in values:
+                c = hs.ov_compare(x, y)
+                assert (x < y, x <= y, x > y, x >= y) == (c < 0, c <= 0, c > 0, c >= 0)
+
     @given(st.integers(-100, 100), st.integers(-100, 100))
     def test_compare_is_antisymmetric(self, a, b):
         x, y = hs.OrderedValue(a), hs.OrderedValue(b)
