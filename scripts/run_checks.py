@@ -51,6 +51,8 @@ def main(argv: list[str] | None = None) -> int:
         "--verbose", action="store_true", help="print the first few violation records"
     )
     args = parser.parse_args(argv)
+    if args.samples < 2:
+        parser.error("--samples must be at least 2")
 
     results = [
         run_one(name, args.seed, args.samples, args.verbose)

@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common], help="run hypothesis checks")
     p.add_argument("--instance", default="euler", help=", ".join(instance_names()))
-    p.add_argument("--samples", type=functools.partial(_integer, "--samples", 0), default=200)
+    p.add_argument("--samples", type=functools.partial(_integer, "--samples", 2), default=200)
     p.add_argument("--seed", type=functools.partial(_integer, "--seed", None), default=0)
     p.set_defaults(handler=cmd_check)
 

@@ -254,7 +254,10 @@ def instance_names() -> list[str]:
 def run_instance_checks(
     instance: CheckInstance, seed: int, samples: int
 ) -> list[CheckReport]:
-    """All hypothesis checks that apply to the instance, in a fixed order."""
+    """All hypothesis checks that apply to the instance, in a fixed order.
+    Fewer than two samples are refused: ``value_map_order`` needs a pair."""
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
     rng = random.Random(seed)
     reports = [
         check_value_map_order(instance.spec, instance.sample_sections(rng, samples)),

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 from .errors import IndeterminateValuation, NotPseudoDirect, ParseError
 from .fields import CoefficientField, FieldElement, _split_top_level, parse_number
 from .reporting import CheckReport
-from .series import Series, SeriesSpace
+from .series import Series, SeriesSpace, Term, _trusted
 from .solver import (
     DEFAULT_MAX_ITER,
     AsymptoticSection,
@@ -112,18 +112,26 @@ def min_valuation(t: ProductElement) -> OrderedValue:
     )
 
 
+def _is_exact_zero(s: Series) -> bool:
+    return not s.terms and s.truncation.is_infinite
+
+
 def sum_map(t: ProductElement) -> Series:
+    """The sum of the components.  Exact zeros are skipped; a zero only to
+    its precision, such as ``O(5)``, is added, as it cuts the truncation."""
     if not t.components:
         raise ValueError("sum of an empty tuple has no ambient group")
     total = t.components[0]
     for s in t.components[1:]:
-        total = total.add(s)
+        if not _is_exact_zero(s):
+            total = total.add(s)
     return total
 
 
 @dataclass(frozen=True)
 class ProductGroup(ValuedGroup):
-    """Finite product of valued groups under the minimum valuation."""
+    """Finite product of valued groups under the minimum valuation.  ``add``
+    skips exact-zero components; precision-only zeros still cut the truncation."""
 
     spaces: tuple[ValuedGroup, ...]
 
@@ -137,7 +145,10 @@ class ProductGroup(ValuedGroup):
 
     def add(self, a: ProductElement, b: ProductElement) -> ProductElement:
         return ProductElement(
-            tuple(sp.add(x, y) for sp, x, y in zip(self.spaces, a.components, b.components))
+            tuple(
+                x if _is_exact_zero(y) else y if _is_exact_zero(x) else sp.add(x, y)
+                for sp, x, y in zip(self.spaces, a.components, b.components)
+            )
         )
 
     def neg(self, a: ProductElement) -> ProductElement:
@@ -148,11 +159,12 @@ class ProductGroup(ValuedGroup):
 
 
 def check_pseudo_direct_witness(a: Series, t: ProductElement) -> bool:
-    """Evaluate both witness conditions exactly for nonzero ``a``."""
+    """Evaluate both witness conditions exactly for nonzero ``a``; a lower
+    bound on ``v(a - sum)`` above ``v(a)`` certifies a truncated target."""
     total = sum_map(t)
     if total.valuation() != min_valuation(t):
         return False
-    return a.sub(total).valuation() > a.valuation()
+    return a.sub(total).valuation_lower_bound() > a.valuation()
 
 
 # -- the section -----------------------------------------------------------
@@ -181,17 +193,13 @@ def _section_for(subgroups: Sequence[Subgroup]):
     raise ParseError("mixed support-pattern and span subgroups are not supported")
 
 
-def _zero_tuple(space: SeriesSpace, n: int) -> list[Series]:
-    return [space.zero for _ in range(n)]
-
-
 def _support_section(subgroups: Sequence[SupportSubgroup], a: Series) -> ProductElement:
     c, g = a.leading_term()
-    space = SeriesSpace(a.field, a.group)
     for i, sub in enumerate(subgroups):
         if sub.pattern(g):
-            components = _zero_tuple(space, len(subgroups))
-            components[i] = space.monomial(c, g)
+            components = [SeriesSpace(a.field, a.group).zero] * len(subgroups)
+            # a leading coefficient is nonzero, so the monomial is a series as is
+            components[i] = _trusted(a.field, a.group, (Term(c, g),), INFINITY)
             return ProductElement(tuple(components))
     raise NotPseudoDirect(
         f"leading exponent {a.group.format(g)} matches no subgroup pattern"
@@ -219,7 +227,7 @@ def _span_section(subgroups: Sequence[SpanSubgroup], a: Series) -> ProductElemen
             "no span combination is a witness: components of value >= "
             f"{a.group.format(va)} cannot match the target's leading term"
         )
-    parts = _zero_tuple(SeriesSpace(field, a.group), len(subgroups))
+    parts = [SeriesSpace(field, a.group).zero] * len(subgroups)
     for (i, u), x in zip(columns, coeffs):
         parts[i] = parts[i].add(u.scale(x))
     return ProductElement(tuple(parts))

@@ -49,8 +49,9 @@ class Series:
     fails.  ``make_series`` (and the ``SeriesSpace`` helpers) normalizes an
     arbitrary term list; it, the arithmetic below (``add``, ``sub``, ``neg``,
     ``scale``, ``truncate`` and ``SeriesSpace.zero``), ``derive`` under an
-    increasing shift and ``asymptotic_section`` build their results without
-    the check, because the invariants hold by construction.
+    increasing shift, ``asymptotic_section`` and the decomposition section's
+    one-term monomial build their results without the check, because the
+    invariants hold by construction.
     """
 
     field: CoefficientField
@@ -111,7 +112,10 @@ class Series:
     # -- arithmetic --------------------------------------------------------
 
     def _like(self, other: "Series") -> None:
-        if self.field != other.field or self.group != other.group:
+        field, group = other.field, other.group  # identity first: the usual case
+        if (self.field is not field and self.field != field) or (
+            self.group is not group and self.group != group
+        ):
             raise ValueError("series live over different fields or value groups")
 
     def add(self, other: "Series") -> "Series":

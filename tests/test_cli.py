@@ -130,6 +130,19 @@ class TestDecompose:
         assert lines[1] == "part odd: t^1"
         assert lines[2] == "witness: pass"
 
+    def test_truncated_target_is_certified_to_its_precision(self):
+        # a - sum is O(5): its value is only bounded below, by 5 > v(a) = 1
+        code, out, err = run_cli(
+            ["decompose", "--parts", "even,odd", "--precision", "4", "t^1 + t^2 + O(5)"]
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "part even: t^2",
+            "part odd: t^1",
+            "witness: pass",
+            "residual_value: 5",
+        ]
+
     def test_zero_series_witness_is_vacuous(self):
         code, out, _ = run_cli(["decompose", "--parts", "even,odd", "0"])
         assert code == 0
@@ -194,10 +207,14 @@ class TestCheck:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert instance in err
 
-    def test_zero_samples_is_a_vacuous_pass(self):
-        code, out, _ = run_cli(["check", "--samples", "0"])
-        assert code == 0
-        assert "FAIL" not in out
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_fewer_than_two_samples_are_refused(self, samples):
+        # below two samples broken-order's canary pair is cut and every check
+        # would pass vacuously
+        code, out, err = run_cli(["check", "--instance", "broken-order", "--samples", samples])
+        assert code == 2
+        assert out == ""
+        assert err == "error: --samples must be at least 2\n"
 
     def test_unknown_instance(self):
         code, _, err = run_cli(["check", "--instance", "nonesuch"])
@@ -339,7 +356,7 @@ MINIMAL_ARGV = {
     "integrate": ["integrate", "t^1"],
     "derive": ["derive", "t^1"],
     "decompose": ["decompose", "--parts", "even,odd", "t^1"],
-    "check": ["check", "--samples", "1"],
+    "check": ["check", "--samples", "2"],
     "quotient": ["quotient", "--alpha", "2", "t^1"],
 }
 

@@ -74,3 +74,15 @@ def test_reports_in_order_pinned_at_seed_4242(name):
     reports = hs.run_instance_checks(hs.build_instance(name), seed=4242, samples=60)
     got = [(r.name, r.checked, r.skipped, len(r.violations)) for r in reports]
     assert got == PINNED_4242[name]
+
+
+@pytest.mark.parametrize("samples", [-1, 0, 1])
+def test_fewer_than_two_samples_are_refused(samples):
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        hs.run_instance_checks(hs.build_instance("broken-order"), seed=0, samples=samples)
+
+
+@pytest.mark.parametrize("name", NAMES[2:])
+def test_two_samples_catch_each_broken_instance(name):
+    reports = hs.run_instance_checks(hs.build_instance(name), seed=0, samples=2)
+    assert not all(r.ok for r in reports)

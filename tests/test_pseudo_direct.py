@@ -6,8 +6,10 @@ from itertools import product
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import hahnsolve as hs
+from hahnsolve import pseudo_direct
 from hahnsolve import series as series_module
 
 from .conftest import QZ, F5Z, nonzero_exact_series
@@ -21,6 +23,46 @@ ODD = hs.SupportSubgroup("odd", lambda g: g % 2 == 1)
 
 def tup(*series):
     return hs.ProductElement(tuple(series))
+
+
+F7Z = hs.SeriesSpace(hs.PrimeField(7), hs.INTEGERS)
+PRODUCT_SPACES = [
+    hs.SeriesSpace(field, group)
+    for field in (hs.QQ, hs.PrimeField(7))
+    for group in (hs.INTEGERS, hs.RATIONALS)
+]
+
+
+@st.composite
+def product_operands(draw):
+    """Two equal-length tuples over one space whose components are exact
+    zeros, zeros only to a precision (``O(g)``) or series with terms, exact
+    or truncated."""
+    space = draw(st.sampled_from(PRODUCT_SPACES))
+    if space.group == hs.RATIONALS:
+        elements = st.fractions(-6, 6, max_denominator=3)
+    else:
+        elements = st.integers(-6, 6)
+    pairs = st.lists(st.tuples(st.integers(-9, 9), elements), min_size=1, max_size=6)
+    component = st.one_of(
+        st.just(space.zero),
+        elements.map(lambda g: space.series([], OV(g))),
+        st.builds(space.series, pairs, st.one_of(st.just(INF), elements.map(OV))),
+    )
+    k = draw(st.integers(1, 5))
+    a, b = (tup(*draw(st.lists(component, min_size=k, max_size=k))) for _ in range(2))
+    return space, a, b
+
+
+def _merged(space, components):
+    """The components merged by the normaliser, none skipped: every term and
+    the least truncation."""
+    return hs.make_series(
+        space.field,
+        space.group,
+        [t for s in components for t in s.terms],
+        min(s.truncation for s in components),
+    )
 
 
 class TestMinValuation:
@@ -65,6 +107,25 @@ class TestSumAndProduct:
         assert product.sub(a, b) == tup(QZ.zero, QZ.monomial(2, 0))
         assert product.valuation(a) == OV(0)
 
+    @given(product_operands())
+    def test_identity_skip_matches_the_full_merge(self, operands):
+        space, a, b = operands
+        product = hs.ProductGroup(tuple(space for _ in a))
+        expected = tup(*(_merged(space, (x, y)) for x, y in zip(a, b)))
+        assert product.add(a, b) == expected
+        assert hs.sum_map(a) == _merged(space, a.components)
+        assert hs.sum_map(product.add(a, b)) == _merged(space, expected.components)
+
+    def test_precision_only_zero_cuts_the_sum(self):
+        lead = hs.parse_series(hs.QQ, hs.INTEGERS, "t^1 + t^4")
+        blurry = hs.parse_series(hs.QQ, hs.INTEGERS, "O(2)")
+        cut = hs.parse_series(hs.QQ, hs.INTEGERS, "t^1 + O(2)")
+        assert hs.sum_map(tup(lead, blurry)) == cut
+        assert hs.sum_map(tup(blurry, lead)) == cut
+        assert hs.sum_map(tup(QZ.zero, lead, QZ.zero)) is lead
+        product = hs.ProductGroup((QZ, QZ))
+        assert product.add(tup(lead, lead), tup(blurry, QZ.zero)) == tup(cut, lead)
+
     def test_product_group_is_ultrametric(self):
         import random
 
@@ -100,6 +161,16 @@ class TestWitnessChecker:
         a = QZ.monomial(1, 2)
         assert not hs.check_pseudo_direct_witness(a, tup(QZ.zero, QZ.monomial(1, 3)))
 
+    def test_truncated_target_is_certified_by_the_bound(self):
+        # a - sum is O(5): zero to its precision, with value at least 5 > v(a)
+        a = QZ.series([(1, 1), (1, 2)], OV(5))
+        assert hs.check_pseudo_direct_witness(a, tup(QZ.monomial(1, 2), QZ.monomial(1, 1)))
+
+    def test_truncated_target_keeps_the_value_condition(self):
+        # a - sum = t^1 + O(5) has value 1 = v(a)
+        a = QZ.series([(1, 1), (1, 2)], OV(5))
+        assert not hs.check_pseudo_direct_witness(a, tup(QZ.monomial(1, 2), QZ.zero))
+
     def test_zero_tuple_fails_for_nonzero_target(self):
         a = QZ.monomial(1, 2)
         assert not hs.check_pseudo_direct_witness(a, tup(QZ.zero, QZ.zero))
@@ -126,6 +197,23 @@ class TestSupportSection:
         with pytest.raises(hs.NotPseudoDirect) as excinfo:
             hs.pseudo_direct_section([EVEN], QZ.monomial(1, 3))
         assert "3" in str(excinfo.value)
+
+    @pytest.mark.parametrize("space", [QZ, F7Z], ids=lambda s: s.field.name)
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_matches_the_normalised_build(self, space, k):
+        # the residue family mod:k:0..k-1 against k zeros and a monomial
+        # built through the normaliser
+        subgroups = [hs.parse_subgroup(space.field, space.group, f"mod:{k}:{r}") for r in range(k)]
+        rng = random.Random(k)
+        for _ in range(40):
+            a = hs.random_series(rng, space, nonzero=True)
+            c, g = a.leading_term()
+            expected = [space.zero for _ in range(k)]
+            expected[g % k] = space.monomial(c, g)
+            got = pseudo_direct._support_section(subgroups, a)
+            assert got == tup(*expected)
+            # the checking constructor accepts every component
+            assert all(hs.Series(s.field, s.group, s.terms, s.truncation) == s for s in got)
 
     def test_no_subgroups_rejected(self):
         with pytest.raises(ValueError):

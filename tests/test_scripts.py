@@ -38,6 +38,15 @@ def test_script_exits_zero(argv, monkeypatch):
     assert exit_info.value.code == 0, out.getvalue()
 
 
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_run_checks_refuses_fewer_than_two_samples(samples, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["run_checks.py", "--samples", samples])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / "run_checks.py"), run_name="__main__")
+    assert exit_info.value.code == 2
+    assert "--samples must be at least 2" in capsys.readouterr().err
+
+
 def test_readme_has_command_examples():
     assert len(readme_commands()) >= 7
 

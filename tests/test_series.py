@@ -105,6 +105,34 @@ class TestAdditiveStructure:
         assert a.add(QZ.zero) == a
 
 
+class TestOperandsShareOneSpace:
+    def test_equal_field_and_group_built_apart_are_accepted(self):
+        x = hs.SeriesSpace(hs.PrimeField(7), hs.INTEGERS).series([(1, 1), (2, 3)])
+        y = hs.SeriesSpace(hs.PrimeField(7), type(hs.INTEGERS)()).monomial(6, 1)
+        assert x.field is not y.field and x.group is not y.group
+        assert x.add(y) == x.sub(y.neg()) == hs.SeriesSpace(hs.PrimeField(7), hs.INTEGERS).monomial(2, 3)
+        assert y.add(x).terms == x.add(y).terms
+        assert x.mul(y).terms == ((6, 2), (5, 4))
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            hs.SeriesSpace(hs.PrimeField(5), hs.INTEGERS),
+            hs.SeriesSpace(hs.QQ, hs.INTEGERS),
+            hs.SeriesSpace(hs.PrimeField(7), hs.RATIONALS),
+        ],
+        ids=["gf5", "rationals", "rat-exponents"],
+    )
+    def test_different_field_or_group_is_refused(self, other):
+        x = hs.SeriesSpace(hs.PrimeField(7), hs.INTEGERS).monomial(1, 1)
+        y = other.monomial(1, 2)
+        for op in ("add", "sub", "mul"):
+            with pytest.raises(ValueError, match="different fields or value groups"):
+                getattr(x, op)(y)
+            with pytest.raises(ValueError, match="different fields or value groups"):
+                getattr(y, op)(x)
+
+
 MERGE_SPACES = [
     hs.SeriesSpace(field, group)
     for field in (hs.QQ, hs.PrimeField(7))
