@@ -14,7 +14,8 @@ silenced a check.
 import argparse
 import sys
 
-from hahnsolve import build_instance, instance_names, run_instance_checks
+from hahnsolve import ParseError, build_instance, instance_names, run_instance_checks
+from hahnsolve.fields import parse_number
 
 EXPECTED_FAILURE = {
     "broken-order": "value_map_order",
@@ -43,10 +44,18 @@ def run_one(name: str, seed: int, samples: int, verbose: bool) -> bool:
     return ok
 
 
+def _integer(text: str) -> int:
+    """An integer under the library's one number grammar, as the CLI reads it."""
+    try:
+        return parse_number(text, "value", integer=True)
+    except ParseError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--samples", type=_integer, default=200)
+    parser.add_argument("--seed", type=_integer, default=0)
     parser.add_argument(
         "--verbose", action="store_true", help="print the first few violation records"
     )

@@ -5,6 +5,12 @@ Exit codes form a small taxonomy so scripts can tell failure modes apart:
 configurations a built-in cannot serve, 3 a section obstruction (no
 admissible correction exists), 4 iteration budget exhausted.
 All output is deterministic for a fixed argument list and seed.
+
+Each ``cmd_*`` handler computes and returns its reply (exit code, text lines,
+JSON result, trace); ``main`` prints it once, in the chosen output mode, or
+maps the exception a handler raised to its exit code.  The solver commands
+solve to ``--precision`` if given and otherwise to the target's own truncation
+bound, and their reply carries the precision used for the JSON ``config``.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import NamedTuple, Sequence
 
 from .differential import (
     DifferentialFieldSpec,
@@ -57,76 +64,77 @@ def _product_text(t: ProductElement) -> str:
     return "(" + "; ".join(series_to_text(s) for s in t.components) + ")"
 
 
-def _emit(
-    args: argparse.Namespace,
-    field: CoefficientField,
-    group: ValueGroup,
-    text_lines: list[str],
-    result: dict,
-    trace: list[dict],
-    precision: OrderedValue | None = None,
-):
-    """Print the text lines, or one JSON object whose ``config`` echoes the
-    shared options this command takes; ``precision`` is passed exactly by
-    the commands that take ``--precision`` and ``--max-iter``."""
-    if args.output == "json":
-        config = {"field": field.name, "group": group.name}
-        if precision is not None:
-            config["precision"] = ov_format(group, precision)
-            config["max_iter"] = args.max_iter
-        config["output"] = args.output
-        print(
-            json.dumps(
-                {"command": args.command, "config": config, "result": result, "trace": trace}
-            )
-        )
-    else:
-        for line in text_lines:
+class _Reply(NamedTuple):
+    """What a command prints: exit code, text lines, JSON result and trace;
+    the solver commands add the precision they solved to."""
+
+    code: int
+    lines: list[str]
+    result: dict
+    trace: Sequence[dict] = ()
+    precision: OrderedValue | None = None
+
+
+def _emit(args: argparse.Namespace, field: CoefficientField, group: ValueGroup, reply: _Reply):
+    """Print the reply's text lines, or one JSON object whose ``config``
+    echoes the shared options this command takes."""
+    if args.output == "text":
+        for line in reply.lines:
             print(line)
+        return
+    config = {"field": field.name, "group": group.name}
+    if "max_iter" in args:  # a solver command
+        config["precision"] = ov_format(group, reply.precision)
+        config["max_iter"] = args.max_iter
+    config["output"] = args.output
+    head = {"command": args.command, "config": config}
+    print(json.dumps({**head, "result": reply.result, "trace": reply.trace}))
 
 
-def cmd_integrate(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> int:
-    precision = ov_parse(group, args.precision)
+def _requested_precision(args: argparse.Namespace, group: ValueGroup) -> OrderedValue | None:
+    """``--precision`` if given; ``None`` stands for the target's own bound."""
+    return None if args.precision is None else ov_parse(group, args.precision)
+
+
+def cmd_integrate(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> _Reply:
+    precision = _requested_precision(args, group)
     derivation = parse_derivation(field, group, args.derivation)
     dspec = DifferentialFieldSpec(field, group, derivation)
     b = parse_series(field, group, args.series)
+    precision = b.truncation if precision is None else precision
     result = integrate(dspec, b, precision=precision, max_iter=args.max_iter)
     trace = trace_entries(result, group, series_to_text)
+    value = ov_format(group, result.residual_value)
     lines = [
         f"solution: {series_to_text(result.solution)}",
-        f"residual_value: {ov_format(group, result.residual_value)}",
+        f"residual_value: {value}",
         f"iterations: {result.iterations}",
         f"exact: {'true' if result.exact else 'false'}",
+        *(f"trace: {json.dumps(entry)}" for entry in trace),
     ]
-    lines += [f"trace: {json.dumps(entry)}" for entry in trace]
-    _emit(
-        args,
-        field,
-        group,
+    return _Reply(
+        0,
         lines,
         {
             "solution": series_to_json_dict(result.solution),
-            "residual_value": ov_format(group, result.residual_value),
+            "residual_value": value,
             "iterations": result.iterations,
             "exact": result.exact,
         },
         trace,
         precision,
     )
-    return 0
 
 
-def cmd_derive(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> int:
+def cmd_derive(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> _Reply:
     derivation = parse_derivation(field, group, args.derivation)
     DifferentialFieldSpec(field, group, derivation)
-    s = parse_series(field, group, args.series)
-    image = derive(derivation, s)
-    _emit(args, field, group, [series_to_text(image)], {"series": series_to_json_dict(image)}, [])
-    return 0
+    image = derive(derivation, parse_series(field, group, args.series))
+    return _Reply(0, [series_to_text(image)], {"series": series_to_json_dict(image)})
 
 
-def cmd_decompose(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> int:
-    precision = ov_parse(group, args.precision)
+def cmd_decompose(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> _Reply:
+    precision = _requested_precision(args, group)
     subgroups = [
         parse_subgroup(field, group, part)
         for part in _split_top_level(args.parts, ",")
@@ -135,45 +143,39 @@ def cmd_decompose(args: argparse.Namespace, field: CoefficientField, group: Valu
     if not subgroups:
         raise ParseError("--parts needs at least one pattern")
     a = parse_series(field, group, args.series)
+    precision = a.truncation if precision is None else precision
     result = decompose_solve(subgroups, a, precision=precision, max_iter=args.max_iter)
     parts: ProductElement = result.solution
     if a.terms:
         verdict = "pass" if check_pseudo_direct_witness(a, parts) else "FAIL"
     else:
         verdict = "vacuous"
-    trace = trace_entries(result, group, _product_text)
+    value = ov_format(group, result.residual_value)
     lines = [
-        f"part {sub.name}: {series_to_text(s)}"
-        for sub, s in zip(subgroups, parts.components)
+        *(f"part {sub.name}: {series_to_text(s)}" for sub, s in zip(subgroups, parts.components)),
+        f"witness: {verdict}",
+        f"residual_value: {value}",
     ]
-    lines.append(f"witness: {verdict}")
-    lines.append(f"residual_value: {ov_format(group, result.residual_value)}")
-    _emit(
-        args,
-        field,
-        group,
+    return _Reply(
+        0,
         lines,
         {
             "parts": [series_to_json_dict(s) for s in parts.components],
             "witness": verdict,
-            "residual_value": ov_format(group, result.residual_value),
+            "residual_value": value,
             "iterations": result.iterations,
         },
-        trace,
+        trace_entries(result, group, _product_text),
         precision,
     )
-    return 0
 
 
-def cmd_check(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> int:
+def cmd_check(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> _Reply:
     instance = build_instance(args.instance, field, group)
     reports = run_instance_checks(instance, seed=args.seed, samples=args.samples)
-    lines = [r.summary() for r in reports]
-    _emit(
-        args,
-        field,
-        group,
-        lines,
+    return _Reply(
+        0 if all(r.ok for r in reports) else 1,
+        [r.summary() for r in reports],
         {
             "instance": instance.name,
             "seed": args.seed,
@@ -188,31 +190,19 @@ def cmd_check(args: argparse.Namespace, field: CoefficientField, group: ValueGro
                 for r in reports
             ],
         },
-        [],
     )
-    return 0 if all(r.ok for r in reports) else 1
 
 
-def cmd_quotient(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> int:
+def cmd_quotient(args: argparse.Namespace, field: CoefficientField, group: ValueGroup) -> _Reply:
     alpha = ov_parse(group, args.alpha)
     s = parse_series(field, group, args.series)
     truncated = s.truncate(alpha)
-    value = s.quotient_valuation(alpha)
-    _emit(
-        args,
-        field,
-        group,
-        [
-            f"class: {series_to_text(truncated)}",
-            f"value: {ov_format(group, value)}",
-        ],
-        {
-            "class": series_to_json_dict(truncated),
-            "value": ov_format(group, value),
-        },
-        [],
+    value = ov_format(group, s.quotient_valuation(alpha))
+    return _Reply(
+        0,
+        [f"class: {series_to_text(truncated)}", f"value: {value}"],
+        {"class": series_to_json_dict(truncated), "value": value},
     )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", choices=["text", "json"], default="text")
     # taken only by the commands that run the solver
     solving = argparse.ArgumentParser(add_help=False)
-    solving.add_argument("--precision", default="inf", help="exponent cutoff or inf")
+    solving.add_argument("--precision", help="exponent cutoff or inf")
     solving.add_argument(
         "--max-iter", type=functools.partial(_integer, "--max-iter", 1), default=10000
     )
@@ -276,7 +266,9 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         field, group = field_by_name(args.field), group_by_name(args.group)
-        return args.handler(args, field, group)
+        reply = args.handler(args, field, group)
+        _emit(args, field, group, reply)
+        return reply.code
     except (ParseError, _OptionError, ZeroDivisionError) as e:
         # a ZeroDivisionError here is a rational exponent whose denominator
         # the prime field's characteristic divides: no built-in serves it

@@ -155,12 +155,13 @@ class Series:
 
     def _mul_truncation(self, other: "Series") -> OrderedValue:
         # Each factor's unknown tail enters the product at value at least
-        # trunc(side) + v(other side); an exact factor contributes no tail.
+        # trunc(side) + v(other side), where a bound on v suffices (a factor
+        # zero to its precision has one); an exact factor contributes no tail.
         sides = []
         if not self.truncation.is_infinite:
-            sides.append(ov_add(self.group, self.truncation, other.valuation()))
+            sides.append(ov_add(self.group, self.truncation, other.valuation_lower_bound()))
         if not other.truncation.is_infinite:
-            sides.append(ov_add(self.group, other.truncation, self.valuation()))
+            sides.append(ov_add(self.group, other.truncation, self.valuation_lower_bound()))
         return min(sides) if sides else INFINITY
 
     # -- precision ---------------------------------------------------------

@@ -124,8 +124,8 @@ def solve(
     residual = b
     trace: list[TraceStep] = []
     k = 0
+    value, determined = _value_or_bound(spec.codomain, residual)
     while True:
-        value, determined = _value_or_bound(spec.codomain, residual)
         if determined and value.is_infinite:
             return SolveResult(a, INFINITY, k, True, tuple(trace))
         if value >= precision:
@@ -143,15 +143,15 @@ def solve(
             e.residual = residual
             raise
         new_residual = spec.codomain.sub(residual, spec.apply(s))
-        new_value, _ = _value_or_bound(spec.codomain, new_residual)
+        new_value, determined = _value_or_bound(spec.codomain, new_residual)
         if not new_value > value:
             raise NoProgress(
                 f"correction did not raise the residual value ({value!r} -> {new_value!r})"
             )
         a = spec.domain.add(a, s)
-        residual = new_residual
+        residual, value = new_residual, new_value
         k += 1
-        trace.append(TraceStep(k, new_value, s))
+        trace.append(TraceStep(k, value, s))
 
 
 def trace_entries(

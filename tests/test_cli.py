@@ -18,9 +18,19 @@ GOLDEN_CASES = {
         "integrate", "--derivation", "euler", "--output", "json", "t^-1 + 2*t^3",
     ],
     "derive_euler.txt": ["derive", "--derivation", "euler", "3*t^-2 + t^5"],
+    "derive_euler_json.json": [
+        "derive", "--derivation", "euler", "--output", "json", "3*t^-2 + t^5",
+    ],
     "decompose_even_odd.txt": ["decompose", "--parts", "even,odd", "t^2 + t^3 + t^6"],
+    "decompose_even_odd_json.json": [
+        "decompose", "--parts", "even,odd", "--output", "json", "t^2 + t^3 + t^6",
+    ],
     "check_euler.txt": ["check", "--instance", "euler", "--samples", "50", "--seed", "7"],
+    "check_euler_json.json": [
+        "check", "--instance", "euler", "--samples", "50", "--seed", "7", "--output", "json",
+    ],
     "quotient.txt": ["quotient", "--alpha", "2", "t^-1 + 1 + t^3"],
+    "quotient_json.json": ["quotient", "--alpha", "2", "--output", "json", "t^-1 + 1 + t^3"],
 }
 
 
@@ -78,7 +88,9 @@ class TestIntegrate:
         assert "OrderedValue(" not in err
 
     def test_blurry_target_below_precision_is_a_domain_error(self):
-        code, _, err = run_cli(["integrate", "--derivation", "euler", "0 + O(3)"])
+        code, _, err = run_cli(
+            ["integrate", "--derivation", "euler", "--precision", "inf", "0 + O(3)"]
+        )
         assert code == 1
         assert "valuation" in err
 
@@ -182,6 +194,52 @@ class TestDecompose:
         code, _, err = run_cli(["decompose", "--parts", " ", "t^1"])
         assert code == 2
         assert "at least one pattern" in err
+
+
+TRUNCATED_TARGETS = {
+    "integrate": ["integrate", "t^1 + O(5)"],
+    "decompose": ["decompose", "--parts", "even,odd", "t^1 + t^2 + O(5)"],
+}
+
+
+class TestTruncatedTarget:
+    """Without ``--precision`` a solver command solves to the target's own bound."""
+
+    def test_integrate_solves_to_the_targets_bound(self):
+        code, out, err = run_cli(TRUNCATED_TARGETS["integrate"])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "solution: 1/2*t^2",
+            "residual_value: 5",
+            "iterations: 1",
+            "exact: false",
+            'trace: {"iter": 1, "residual_value": "5", "term": "1/2*t^2"}',
+        ]
+
+    def test_decompose_solves_to_the_targets_bound(self):
+        code, out, err = run_cli(TRUNCATED_TARGETS["decompose"])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "part even: t^2",
+            "part odd: t^1",
+            "witness: pass",
+            "residual_value: 5",
+        ]
+
+    @pytest.mark.parametrize("command", sorted(TRUNCATED_TARGETS))
+    def test_json_echoes_the_precision_used(self, command):
+        code, out, err = run_cli([*TRUNCATED_TARGETS[command], "--output", "json"])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["config"]["precision"] == "5"
+        assert payload["result"]["residual_value"] == "5"
+
+    @pytest.mark.parametrize("command", sorted(TRUNCATED_TARGETS))
+    @pytest.mark.parametrize("precision", ["inf", "9"])
+    def test_a_precision_above_the_bound_is_still_refused(self, command, precision):
+        code, out, err = run_cli([*TRUNCATED_TARGETS[command], "--precision", precision])
+        assert (code, out) == (1, "")
+        assert err == "error: residual valuation undetermined below the requested precision\n"
 
 
 class TestCheck:

@@ -47,6 +47,17 @@ def test_run_checks_refuses_fewer_than_two_samples(samples, monkeypatch, capsys)
     assert "--samples must be at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--samples", "--seed"])
+@pytest.mark.parametrize("number", ["1_0", "٣"])
+def test_run_checks_reads_integers_by_the_number_grammar(option, number, monkeypatch, capsys):
+    # int() would take both forms; the CLI refuses them
+    monkeypatch.setattr(sys, "argv", ["run_checks.py", option, number])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / "run_checks.py"), run_name="__main__")
+    assert exit_info.value.code == 2
+    assert f"argument {option}: bad value" in capsys.readouterr().err
+
+
 def test_readme_has_command_examples():
     assert len(readme_commands()) >= 7
 

@@ -305,10 +305,21 @@ class TestMultiplication:
         assert prod.is_exact
 
     def test_indeterminate_factor_propagates(self):
+        # O(3) has no valuation, only the bound 3, and the bound decides the product
         blurry = QZ.series([], OV(3))
         known = QZ.series([(1, 2)], OV(10))
-        with pytest.raises(hs.IndeterminateValuation):
-            known.mul(blurry)
+        assert known.mul(blurry) == QZ.series([], OV(5))
+
+    @pytest.mark.parametrize(
+        "left, right, product",
+        [
+            (QZ.series([(1, 1)], OV(3)), QZ.series([], OV(5)), QZ.series([], OV(6))),
+            (QZ.series([], OV(5)), QZ.series([], OV(5)), QZ.series([], OV(10))),
+        ],
+    )
+    def test_factor_zero_to_its_precision_is_bounded(self, left, right, product):
+        assert left.mul(right) == product
+        assert right.mul(left) == product
 
     def test_exact_zero_absorbs_even_blurry_factors(self):
         blurry = QZ.series([], OV(3))
