@@ -90,25 +90,17 @@ class ProductElement:
 def min_valuation(t: ProductElement) -> OrderedValue:
     """Least component valuation; the top value exactly when all are zero.
 
-    A component that is zero only to its precision leaves the minimum
-    undetermined unless some other component's exact valuation undercuts
-    every such precision bound.
+    The least component bound is the minimum when a component of determined
+    valuation reaches it (a tie with a zero only to precision included);
+    otherwise only the bound is known and ``IndeterminateValuation`` carries it.
     """
-    values: list[OrderedValue] = []
-    bounds: list[OrderedValue] = []
-    for s in t.components:
-        try:
-            values.append(s.valuation())
-        except IndeterminateValuation as e:
-            bounds.append(e.bound)
-    if not bounds:
-        return min(values) if values else INFINITY
-    bmin = min(bounds)
-    if values and min(values) <= bmin:
-        return min(values)
+    bounds = [s.valuation_lower_bound() for s in t.components]
+    least = min(bounds, default=INFINITY)
+    if least.is_infinite or any(s.terms and b == least for s, b in zip(t.components, bounds)):
+        return least
     raise IndeterminateValuation(
         "minimum valuation undetermined: a component is zero only to precision",
-        bound=bmin,
+        bound=least,
     )
 
 
@@ -156,6 +148,12 @@ class ProductGroup(ValuedGroup):
 
     def valuation(self, a: ProductElement) -> OrderedValue:
         return min_valuation(a)
+
+    def valuation_lower_bound(self, a: ProductElement) -> OrderedValue:
+        return min(
+            (sp.valuation_lower_bound(x) for sp, x in zip(self.spaces, a.components)),
+            default=INFINITY,
+        )
 
 
 def check_pseudo_direct_witness(a: Series, t: ProductElement) -> bool:

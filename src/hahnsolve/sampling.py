@@ -16,7 +16,6 @@ from .fields import CoefficientField, PrimeField
 from .series import Series, SeriesSpace
 from .ultrametric import Ball
 from .valuegroups import (
-    INFINITY,
     INTEGERS,
     RATIONALS,
     GroupElement,
@@ -81,7 +80,6 @@ def random_series(
     lo: int = -10,
     hi: int = 10,
     max_terms: int = 8,
-    truncation: OrderedValue = INFINITY,
     nonzero: bool = False,
     forbid: Forbid = None,
 ) -> Series:
@@ -96,31 +94,21 @@ def random_series(
             if banned(g):
                 continue
             terms.append((random_coefficient(rng, space.field, nonzero=True), g))
-        s = space.series(terms, truncation)
+        s = space.series(terms)
         if s.terms or not nonzero:
             return s
     raise RuntimeError("window and constraints left no nonzero series to sample")
 
 
-def random_ball(
-    rng: random.Random,
-    space: SeriesSpace,
-    lo: int = -5,
-    hi: int = 5,
-    max_terms: int = 5,
-    forbid: Forbid = None,
-) -> Ball:
-    center = random_series(rng, space, lo, hi, max_terms, forbid=forbid)
-    return Ball(space, center, OrderedValue(random_exponent(rng, space.group, lo, hi)))
+def random_ball(rng: random.Random, space: SeriesSpace) -> Ball:
+    center = random_series(rng, space, -5, 5, 5)
+    return Ball(space, center, OrderedValue(random_exponent(rng, space.group, -5, 5)))
 
 
 def random_nest(
     rng: random.Random,
     space: SeriesSpace,
     depth: int = 3,
-    lo: int = -5,
-    hi: int = 5,
-    max_terms: int = 4,
     forbid: Forbid = None,
 ) -> list[Ball]:
     """A strictly shrinking chain of balls, largest first.
@@ -132,12 +120,12 @@ def random_nest(
         raise ValueError("a nest needs at least one ball")
     banned = _forbidden(forbid)
     group = space.group
-    radius = random_exponent(rng, group, lo, hi)
-    center = random_series(rng, space, lo, hi, max_terms, forbid=forbid)
+    radius = random_exponent(rng, group, -5, 5)
+    center = random_series(rng, space, -5, 5, 4, forbid=forbid)
     balls = [Ball(space, center, OrderedValue(radius))]
     for _ in range(depth - 1):
         delta_terms = []
-        for _ in range(rng.randint(0, max_terms)):
+        for _ in range(rng.randint(0, 4)):
             g = radius
             for _ in range(rng.randint(0, 3)):
                 g = group.add(g, random_positive(rng, group))

@@ -52,6 +52,10 @@ class Series:
     increasing shift, ``asymptotic_section`` and the decomposition section's
     one-term monomial build their results without the check, because the
     invariants hold by construction.
+
+    ``valuation`` raises ``IndeterminateValuation`` for a series that is zero
+    only to its precision; ``valuation_lower_bound`` is the way to read the
+    certified bound, and never raises.
     """
 
     field: CoefficientField
@@ -98,11 +102,9 @@ class Series:
         )
 
     def valuation_lower_bound(self) -> OrderedValue:
-        """Greatest lower bound the data certifies for the valuation."""
-        try:
-            return self.valuation()
-        except IndeterminateValuation as e:
-            return e.bound
+        """Greatest lower bound the data certifies for the valuation: the
+        valuation when it is determined, else the truncation."""
+        return OrderedValue(self.terms[0].exponent) if self.terms else self.truncation
 
     def leading_term(self) -> Term:
         if not self.terms:
@@ -181,13 +183,9 @@ class Series:
         answer only needs the valuation's lower bound, so classes that are
         zero at sufficient precision are decided without an exact valuation.
         """
-        try:
-            v = self.valuation()
-        except IndeterminateValuation as e:
-            if e.bound >= alpha:
-                return INFINITY
-            raise
-        return v if v < alpha else INFINITY
+        if self.valuation_lower_bound() >= alpha:
+            return INFINITY
+        return self.valuation()
 
     def __str__(self) -> str:
         from .parsing import series_to_text
@@ -300,6 +298,9 @@ class SeriesSpace(ValuedGroup):
 
     def valuation(self, a: Series) -> OrderedValue:
         return a.valuation()
+
+    def valuation_lower_bound(self, a: Series) -> OrderedValue:
+        return a.valuation_lower_bound()
 
     def monomial(self, coefficient, exponent: GroupElement) -> Series:
         return make_series(

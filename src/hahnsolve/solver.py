@@ -263,7 +263,7 @@ def check_section_progress(
             violations.append("section output outside the distinguished subset")
             continue
         fs = spec.apply(s)
-        residual_value, _ = _value_or_bound(spec.codomain, spec.codomain.sub(b, fs))
+        residual_value = spec.codomain.valuation_lower_bound(spec.codomain.sub(b, fs))
         if not residual_value > wb:
             violations.append(
                 f"no strict improvement: w(b)={wb!r}, w(b-f(s))={residual_value!r}"

@@ -8,6 +8,11 @@ a top element, taking the top value exactly at zero and satisfying
 with equality whenever ``v(a) != v(b)``.  Closed balls ``{x : v(x - c) >= r}``
 then behave like ultrametric balls: any point of a ball is a center, and two
 balls are either nested or disjoint.
+
+An element known only up to a precision has no exact valuation, but each
+space certifies a lower bound on it (``valuation_lower_bound``).  Membership
+in a ball is decided from that bound, and refused with
+``IndeterminateValuation`` only when the radius lies beyond it.
 """
 
 from __future__ import annotations
@@ -41,6 +46,11 @@ class ValuedGroup(ABC):
     @abstractmethod
     def valuation(self, a: Element) -> OrderedValue: ...
 
+    def valuation_lower_bound(self, a: Element) -> OrderedValue:
+        """Greatest lower bound the data certifies for ``v(a)``: the valuation
+        itself wherever that is determined."""
+        return self.valuation(a)
+
     def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.neg(b))
 
@@ -60,7 +70,12 @@ class Ball:
     radius: OrderedValue
 
     def contains(self, point: Element) -> bool:
-        return self.space.valuation(self.space.sub(self.center, point)) >= self.radius
+        """Whether ``v(center - point) >= radius``.  A certified lower bound at
+        or above the radius decides it; below the radius the exact valuation
+        is read, which raises ``IndeterminateValuation`` when it is unknown."""
+        space, radius = self.space, self.radius
+        diff = space.sub(self.center, point)
+        return space.valuation_lower_bound(diff) >= radius or space.valuation(diff) >= radius
 
     def subset(self, other: "Ball") -> bool:
         """Containment test: centered inside ``other`` and at least as small.

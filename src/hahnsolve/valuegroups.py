@@ -186,10 +186,6 @@ class OrderedValue:
 INFINITY = OrderedValue(None)
 
 
-def finite(g: GroupElement) -> OrderedValue:
-    return OrderedValue(g)
-
-
 def ov_compare(x: OrderedValue, y: OrderedValue) -> int:
     """Total order on values with the top element maximal: -1, 0 or +1."""
     if x.is_infinite:

@@ -12,7 +12,7 @@ import hahnsolve as hs
 from hahnsolve import pseudo_direct
 from hahnsolve import series as series_module
 
-from .conftest import QZ, F5Z, nonzero_exact_series
+from .conftest import F5Z, QZ, assert_answer, nonzero_exact_series, refused
 
 OV = hs.OrderedValue
 INF = hs.INFINITY
@@ -23,6 +23,27 @@ ODD = hs.SupportSubgroup("odd", lambda g: g % 2 == 1)
 
 def tup(*series):
     return hs.ProductElement(tuple(series))
+
+
+def blurry(cut):
+    """Zero only to precision: ``O(cut)``."""
+    return QZ.series([], OV(cut))
+
+
+# (components, their least valuation); a tie goes to the determined component
+MIN_TABLE = {
+    "least value": ((QZ.monomial(1, 2), QZ.monomial(1, 3)), OV(2)),
+    "tie at a precision bound": ((blurry(5), QZ.monomial(1, 5)), OV(5)),
+    "tie, other order": ((QZ.monomial(1, 5), blurry(5)), OV(5)),
+    "tie with a truncated component": ((QZ.series([(1, 5)], OV(7)), blurry(5)), OV(5)),
+    "a value undercuts the bound": ((blurry(5), QZ.monomial(1, 2)), OV(2)),
+    "the bound undercuts every value": ((blurry(5), QZ.monomial(1, 7)), refused(5)),
+    "lone O(5)": ((blurry(5),), refused(5)),
+    "least of two bounds": ((blurry(5), blurry(3)), refused(3)),
+    "O(4) beside an exact zero": ((QZ.zero, blurry(4)), refused(4)),
+    "all exact zeros": ((QZ.zero, QZ.zero), INF),
+    "empty tuple": ((), INF),
+}
 
 
 F7Z = hs.SeriesSpace(hs.PrimeField(7), hs.INTEGERS)
@@ -66,26 +87,9 @@ def _merged(space, components):
 
 
 class TestMinValuation:
-    def test_least_component_value(self):
-        assert hs.min_valuation(tup(QZ.monomial(1, 2), QZ.monomial(1, 3))) == OV(2)
-
-    def test_all_zero_is_top(self):
-        assert hs.min_valuation(tup(QZ.zero, QZ.zero)) == INF
-        assert hs.min_valuation(hs.ProductElement(())) == INF
-
-    def test_exact_component_can_undercut_a_blurry_zero(self):
-        blurry = QZ.series([], OV(5))
-        assert hs.min_valuation(tup(blurry, QZ.monomial(1, 2))) == OV(2)
-
-    def test_blurry_zero_above_everything_blocks_the_minimum(self):
-        blurry = QZ.series([], OV(5))
-        with pytest.raises(hs.IndeterminateValuation) as excinfo:
-            hs.min_valuation(tup(blurry, QZ.monomial(1, 7)))
-        assert excinfo.value.bound == OV(5)
-
-    def test_lone_blurry_zero_is_undetermined(self):
-        with pytest.raises(hs.IndeterminateValuation):
-            hs.min_valuation(tup(QZ.series([], OV(5))))
+    @pytest.mark.parametrize("parts, answer", MIN_TABLE.values(), ids=MIN_TABLE)
+    def test_min_valuation(self, parts, answer):
+        assert_answer(lambda: hs.min_valuation(tup(*parts)), answer)
 
 
 class TestSumAndProduct:

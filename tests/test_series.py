@@ -8,10 +8,33 @@ from hypothesis import strategies as st
 
 import hahnsolve as hs
 
-from .conftest import QZ, F5Z, exact_series, nonzero_exact_series, truncated_series
+from .conftest import (
+    F5Z,
+    QZ,
+    assert_answer,
+    exact_series,
+    nonzero_exact_series,
+    refused,
+    truncated_series,
+)
 
 INF = hs.INFINITY
 OV = hs.OrderedValue
+
+# (series, alpha, the class's value in the quotient by the radius-alpha ball)
+QUOTIENT_TABLE = {
+    "value below alpha": (QZ.monomial(1, 2), OV(5), OV(2)),
+    "value at or above alpha": (QZ.monomial(1, 7), OV(5), INF),
+    "exact zero": (QZ.zero, OV(-3), INF),
+    "exact zero, alpha inf": (QZ.zero, INF, INF),
+    "exact series, alpha inf": (QZ.monomial(1, 2), INF, OV(2)),
+    "truncated, value below alpha": (QZ.series([(1, 1)], OV(5)), OV(3), OV(1)),
+    "truncated, value above alpha": (QZ.series([(1, 4)], OV(5)), OV(3), INF),
+    "O(6), alpha below the bound": (QZ.series([], OV(6)), OV(3), INF),
+    "O(5), alpha at the bound": (QZ.series([], OV(5)), OV(5), INF),
+    "O(2), alpha above the bound": (QZ.series([], OV(2)), OV(5), refused(2)),
+    "O(2), alpha inf": (QZ.series([], OV(2)), INF, refused(2)),
+}
 
 
 class TestMakeSeries:
@@ -357,20 +380,9 @@ class TestQuotient:
     def test_truncate_zero(self):
         assert QZ.zero.truncate(OV(0)) == QZ.series([], OV(0))
 
-    def test_quotient_valuation_below_cutoff(self):
-        assert QZ.series([(1, 2)]).quotient_valuation(OV(5)) == OV(2)
-
-    def test_quotient_valuation_at_or_above_cutoff(self):
-        assert QZ.series([(1, 7)]).quotient_valuation(OV(5)).is_infinite
-
-    def test_quotient_valuation_of_zero(self):
-        assert QZ.zero.quotient_valuation(OV(-3)).is_infinite
-
-    def test_quotient_valuation_uses_precision_bound(self):
-        blurry = QZ.series([], OV(6))
-        assert blurry.quotient_valuation(OV(3)).is_infinite
-        with pytest.raises(hs.IndeterminateValuation):
-            QZ.series([], OV(2)).quotient_valuation(OV(5))
+    @pytest.mark.parametrize("s, alpha, answer", QUOTIENT_TABLE.values(), ids=QUOTIENT_TABLE)
+    def test_quotient_valuation(self, s, alpha, answer):
+        assert_answer(lambda: s.quotient_valuation(alpha), answer)
 
     @given(truncated_series(), truncated_series())
     def test_truncate_is_additive(self, a, b):

@@ -330,6 +330,17 @@ class TestBallTransport:
         for ball in targets:
             assert ball.contains(spec.apply(witness))
 
+    def test_pull_nest_reads_the_bound_of_truncated_targets(self, euler_parts):
+        # (t^1 + O(5)) - (t^1 + O(6)) = O(5): the targets nest by its bound
+        spec, section, vmap = euler_parts
+        targets = [
+            hs.Ball(QZ, QZ.series([(1, 1)], OV(5)), OV(2)),
+            hs.Ball(QZ, QZ.series([(1, 1)], OV(6)), OV(4)),
+        ]
+        domain_nest, witness = hs.pull_nest(spec, section, vmap, targets, precision=OV(5))
+        assert witness == QZ.monomial(1, 1)
+        assert [b.radius for b in domain_nest] == [OV(2), OV(4)]
+
     def test_pull_nest_radii_go_through_inverse(self, ddt_parts):
         spec, section, vmap = ddt_parts
         (pulled,), _ = hs.pull_nest(

@@ -4,14 +4,22 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import hahnsolve as hs
 
-from .conftest import QZ, exact_series
+from .conftest import QLEX, QRAT, QZ, exact_series, truncated_series
+
+OV = hs.OrderedValue
+INF = hs.INFINITY
 
 
 def ball(center_pairs, radius):
     return hs.Ball(QZ, QZ.series(center_pairs), hs.OrderedValue(radius))
+
+
+def trunc(pairs, cut):
+    return QZ.series(pairs, OV(cut))
 
 
 class TestBall:
@@ -43,6 +51,29 @@ class TestBall:
         point = hs.Ball(QZ, QZ.series([(1, 2)]), hs.INFINITY)
         assert point.contains(QZ.series([(1, 2)]))
         assert not point.contains(QZ.series([(1, 2), (1, 9)]))
+
+
+class TestCertifiedMembership:
+    """``t^4 - (t^4 + O(5))`` is ``O(5)``: its value is only known to be >= 5."""
+
+    @pytest.mark.parametrize("radius", [3, 5])
+    def test_a_bound_at_or_above_the_radius_decides(self, radius):
+        assert hs.Ball(QZ, QZ.monomial(1, 4), OV(radius)).contains(trunc([(1, 4)], 5))
+
+    def test_a_radius_beyond_the_bound_is_refused(self):
+        with pytest.raises(hs.IndeterminateValuation) as excinfo:
+            hs.Ball(QZ, QZ.monomial(1, 4), OV(7)).contains(trunc([(1, 4)], 5))
+        assert excinfo.value.bound == OV(5)
+
+    def test_a_determined_difference_below_the_radius_is_outside(self):
+        assert not hs.Ball(QZ, QZ.monomial(1, 4), OV(7)).contains(trunc([(1, 4), (1, 6)], 9))
+
+    def test_a_nest_with_a_truncated_center_builds(self):
+        outer = hs.Ball(QZ, QZ.monomial(1, 4), OV(2))
+        inner = hs.Ball(QZ, trunc([(1, 4)], 5), OV(3))
+        assert hs.Nest((inner, outer)).balls == (outer, inner)
+        assert inner.subset(outer)
+        assert not outer.subset(inner)
 
 
 class TestNest:
@@ -115,3 +146,49 @@ class TestUltrametricCheck:
         assert vd >= min(va, vb)
         if va != vb:
             assert vd == min(va, vb)
+
+
+SPACES = {"int": QZ, "rat": QRAT, "lex2": QLEX}
+
+
+def any_series(space):
+    """Exact or truncated series of ``space`` with at most four terms."""
+    return st.one_of(
+        exact_series(max_terms=4, space=space), truncated_series(max_terms=4, space=space)
+    )
+
+
+def certified(s):
+    """The value of ``s``, or its truncation where the value is unknown."""
+    try:
+        return s.valuation()
+    except hs.IndeterminateValuation:
+        return s.truncation
+
+
+class TestCertifiedBound:
+    @pytest.mark.parametrize("space", SPACES.values(), ids=SPACES)
+    @given(data=st.data())
+    def test_bound_is_the_value_or_the_least_component_bound(self, space, data):
+        parts = data.draw(st.lists(any_series(space), max_size=3))
+        for s in parts:
+            assert s.valuation_lower_bound() == certified(s)
+            assert space.valuation_lower_bound(s) == certified(s)
+        product = hs.ProductGroup(tuple(space for _ in parts))
+        t = hs.ProductElement(tuple(parts))
+        least = min(map(certified, parts), default=INF)
+        assert product.valuation_lower_bound(t) == least
+        try:
+            value = product.valuation(t)
+        except hs.IndeterminateValuation as e:
+            value = e.bound
+        assert value == least
+
+    def test_default_bound_is_the_valuation(self):
+        class Plain(hs.SeriesSpace):
+            valuation_lower_bound = hs.ValuedGroup.valuation_lower_bound
+
+        plain = Plain(hs.QQ, hs.INTEGERS)
+        assert plain.valuation_lower_bound(QZ.monomial(1, 3)) == OV(3)
+        with pytest.raises(hs.IndeterminateValuation):
+            plain.valuation_lower_bound(trunc([], 5))

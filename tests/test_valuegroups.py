@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hahnsolve as hs
-from hahnsolve.valuegroups import finite
 
 
 class TestGroups:
@@ -90,10 +89,6 @@ class TestOrderedValue:
         assert hs.ov_parse(hs.INTEGERS, "-4") == hs.OrderedValue(-4)
         assert hs.ov_format(hs.INTEGERS, hs.INFINITY) == "inf"
         assert hs.ov_format(hs.LEX2, hs.OrderedValue((2, -1))) == "(2,-1)"
-
-    def test_finite_helper(self):
-        assert finite(3) == hs.OrderedValue(3)
-        assert not finite(3).is_infinite
 
     @pytest.mark.parametrize(
         "payloads",
