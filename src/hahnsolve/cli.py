@@ -60,10 +60,6 @@ def _integer(name: str, least: int | None, text: str) -> int:
         raise _OptionError(e) from None
 
 
-def _product_text(t: ProductElement) -> str:
-    return "(" + "; ".join(series_to_text(s) for s in t.components) + ")"
-
-
 class _Reply(NamedTuple):
     """What a command prints: exit code, text lines, JSON result and trace;
     the solver commands add the precision they solved to."""
@@ -103,7 +99,7 @@ def cmd_integrate(args: argparse.Namespace, field: CoefficientField, group: Valu
     b = parse_series(field, group, args.series)
     precision = b.truncation if precision is None else precision
     result = integrate(dspec, b, precision=precision, max_iter=args.max_iter)
-    trace = trace_entries(result, group, series_to_text)
+    trace = trace_entries(result, group)
     value = ov_format(group, result.residual_value)
     lines = [
         f"solution: {series_to_text(result.solution)}",
@@ -165,7 +161,7 @@ def cmd_decompose(args: argparse.Namespace, field: CoefficientField, group: Valu
             "residual_value": value,
             "iterations": result.iterations,
         },
-        trace_entries(result, group, _product_text),
+        trace_entries(result, group),
         precision,
     )
 
@@ -269,9 +265,7 @@ def main(argv=None) -> int:
         reply = args.handler(args, field, group)
         _emit(args, field, group, reply)
         return reply.code
-    except (ParseError, _OptionError, ZeroDivisionError) as e:
-        # a ZeroDivisionError here is a rational exponent whose denominator
-        # the prime field's characteristic divides: no built-in serves it
+    except (ParseError, _OptionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except IterationLimit as e:

@@ -60,9 +60,12 @@ class TermwiseDerivation:
     carries a precision bound through the derivation conservatively.
     ``increasing`` declares the shift strictly increasing on live exponents
     (``d(g) != 0``): true of the power rule, decided once for a table.
+    ``field`` and ``group`` are the coefficients and exponents it was built for.
     """
 
     name: str
+    field: CoefficientField
+    group: ValueGroup
     scale: Callable[[GroupElement], FieldElement]
     shift: Callable[[GroupElement], GroupElement]
     shift_inverse: Callable[[GroupElement], GroupElement | None]
@@ -93,7 +96,9 @@ def _power_rule(
         g2 = unshift(g)
         return g2 if not field.is_zero(field.coerce(g2)) else None
 
-    return TermwiseDerivation(name, field.coerce, shift, shift_inverse, map_truncation, True)
+    return TermwiseDerivation(
+        name, field, group, field.coerce, shift, shift_inverse, map_truncation, True
+    )
 
 
 def ddt(field: CoefficientField, group: ValueGroup) -> TermwiseDerivation:
@@ -135,6 +140,8 @@ def from_tables(
 
     return TermwiseDerivation(
         name="custom",
+        field=field,
+        group=group,
         scale=lambda g: scale_table.get(g, field.zero),
         shift=lambda g: shift_table.get(g, g),
         shift_inverse=inverse.get,
@@ -147,9 +154,10 @@ def from_tables(
 class DifferentialFieldSpec:
     """A coefficient field, exponent group and derivation bundled together.
 
-    Requires ``d(0) = 0`` so that plain constants are constants of the
-    derivation; whether they exhaust the constants is checked on samples
-    elsewhere, never assumed.
+    Requires a derivation built over the same field and group, and
+    ``d(0) = 0`` so that plain constants are constants of the derivation;
+    whether they exhaust the constants is checked on samples elsewhere, never
+    assumed.
     """
 
     field: CoefficientField
@@ -157,7 +165,13 @@ class DifferentialFieldSpec:
     derivation: TermwiseDerivation
 
     def __post_init__(self):
-        if not self.field.is_zero(self.derivation.scale(self.group.zero)):
+        d = self.derivation
+        if (d.field, d.group) != (self.field, self.group):
+            raise ParseError(
+                f"derivation built over {d.field.name} with {d.group.name} exponents, "
+                f"not {self.field.name} with {self.group.name} exponents"
+            )
+        if not self.field.is_zero(d.scale(self.group.zero)):
             raise ParseError("derivation must annihilate constants: d(0) != 0")
 
     @property
@@ -278,9 +292,7 @@ def check_differential_valuation(
     group = dspec.group
     violations = []
     skipped = 0
-    checked = 0
     for a, b in pairs:
-        checked += 1
         da = derive(dspec.derivation, a)
         db = derive(dspec.derivation, b)
         vda = da.valuation()
@@ -297,7 +309,7 @@ def check_differential_valuation(
             violations.append(
                 f"v(b)+v(Da)-v(Db) = {group.format(margin)} is not positive"
             )
-    return CheckReport("differential_valuation", checked, tuple(violations), skipped)
+    return CheckReport("differential_valuation", len(pairs), tuple(violations), skipped)
 
 
 def check_derivative_monotonicity(
@@ -305,9 +317,7 @@ def check_derivative_monotonicity(
 ) -> CheckReport:
     """For nonzero samples with nonzero values: v(a) <= v(b) iff v(Da) <= v(Db)."""
     violations = []
-    checked = 0
     for a, b in pairs:
-        checked += 1
         va, vb = a.valuation(), b.valuation()
         vda = derive(dspec.derivation, a).valuation()
         vdb = derive(dspec.derivation, b).valuation()
@@ -315,7 +325,7 @@ def check_derivative_monotonicity(
             violations.append(
                 f"v(a)={va!r}, v(b)={vb!r} but v(Da)={vda!r}, v(Db)={vdb!r}"
             )
-    return CheckReport("derivative_monotonicity", checked, tuple(violations))
+    return CheckReport("derivative_monotonicity", len(pairs), tuple(violations))
 
 
 def check_leibniz(
@@ -324,14 +334,12 @@ def check_leibniz(
     """Product rule ``D(ab) = a D(b) + D(a) b`` on exact sample pairs."""
     space = dspec.space
     violations = []
-    checked = 0
     for a, b in pairs:
-        checked += 1
         lhs = derive(dspec.derivation, a.mul(b))
         rhs = a.mul(derive(dspec.derivation, b)).add(derive(dspec.derivation, a).mul(b))
         if not space.eq(lhs, rhs):
             violations.append(f"product rule fails for v(a)={a.valuation()!r}")
-    return CheckReport("leibniz_rule", checked, tuple(violations))
+    return CheckReport("leibniz_rule", len(pairs), tuple(violations))
 
 
 # -- derivation selector strings (CLI / config surface) --------------------

@@ -82,12 +82,14 @@ class CoefficientField(ABC):
 
     @abstractmethod
     def coerce(self, n: int | Fraction) -> FieldElement:
-        """Image of a rational integer (or fraction, where defined) in the field."""
+        """Image of a rational integer (or fraction, where defined) in the field;
+        a fraction with no image is refused with ``ParseError``."""
 
     def parse(self, text: str) -> FieldElement:
+        n = parse_number(text, "coefficient")
         try:
-            return self.coerce(parse_number(text, "coefficient"))
-        except ZeroDivisionError as e:
+            return self.coerce(n)
+        except ParseError as e:
             raise ParseError(f"bad coefficient {text!r}: {e}") from None
 
     def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
@@ -199,7 +201,7 @@ class PrimeField(CoefficientField):
     def coerce(self, n):
         if isinstance(n, Fraction):
             if n.denominator % self.p == 0:
-                raise ZeroDivisionError(f"{n} has no image in {self.name}")
+                raise ParseError(f"{n} has no image in {self.name}")
             return self.div(n.numerator % self.p, n.denominator % self.p)
         return n % self.p
 

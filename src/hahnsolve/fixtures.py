@@ -5,7 +5,8 @@ derivation data, and seeded samplers tuned so that every hypothesis check
 receives samples satisfying its preconditions.  The broken instances exist to
 prove the checks have teeth: each one targets one hypothesis, with
 deterministic canary samples that trip the intended check regardless of seed.
-``broken-monotone`` and ``broken-progress`` pass every other check;
+``broken-monotone`` and ``broken-progress`` start from the Euler fixture and
+replace one part of it (the map, the section), so they pass every other check;
 ``broken-order`` also fails ``value_monotonicity`` at seeds that draw a sample
 whose ``t^2`` and ``t^3`` coefficients cancel (see ``_broken_order``).
 
@@ -19,7 +20,7 @@ whose ``t^2`` and ``t^3`` coefficients cancel (see ``_broken_order``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .differential import (
@@ -138,6 +139,9 @@ def _honest(name: str, derivation, description: str):
     return build
 
 
+_euler = _honest("euler", euler, "t*d/dt on exact series")
+
+
 def _termwise_hom(space: SeriesSpace, scale, shift) -> HomomorphismSpec:
     def apply(s: Series) -> Series:
         terms = [(space.field.mul(c, scale(g)), shift(g)) for c, g in s.terms]
@@ -175,55 +179,52 @@ def _broken_order(field: CoefficientField, group: ValueGroup) -> CheckInstance:
 
 
 def _broken_monotone(field: CoefficientField, group: ValueGroup) -> CheckInstance:
-    """Behaves like the Euler operator except constants drop to exponent -10.
+    """The Euler fixture with its map replaced: constants drop to exponent -10.
 
-    On constant-free series nothing is wrong, so the value-map and progress
-    checks pass; the canary pair (5, t^-1) violates comparison transfer:
-    v(a) >= v(s) but the images compare the other way.
+    It keeps the Euler section, so on constant-free series nothing is wrong
+    and the value-map and progress checks pass; the canary pair (5, t^-1)
+    violates comparison transfer: v(a) >= v(s) but the images compare the
+    other way.
     """
-    space = SeriesSpace(field, group)
+    honest = _euler(field, group)
+    space = honest.dspec.space
     scale = lambda g: field.one if g == 0 else field.coerce(g)
     shift = lambda g: -10 if g == 0 else g
-
-    def section(b: Series) -> Series:
-        c, g = b.leading_term()
-        return space.monomial(field.div(c, field.coerce(g)), g)
-
     canary = (space.monomial(5, 0), space.monomial(1, -1))
     return CheckInstance(
         "broken-monotone",
         "constants map far down, breaking value comparison transfer",
         _termwise_hom(space, scale, shift),
-        AsymptoticSection(section=section, contains=has_no_constant_term),
+        honest.section,
         *_samplers(space, {0}, {0}, pair_forbid={0}, canary_pairs=(canary,)),
     )
 
 
 def _broken_progress(field: CoefficientField, group: ValueGroup) -> CheckInstance:
-    """Honest Euler map with a section that only corrects half the leading term.
+    """The Euler fixture with its section replaced by one that corrects only
+    half the leading term.
 
     The residual keeps its value after each step, so the progress check flags
     every target while the order and comparison checks still pass.
     """
-    dspec = DifferentialFieldSpec(field, group, euler(field, group))
-    spec, honest_section, _value_map = integration_instance(dspec)
-    two = field.coerce(2)
+    honest = _euler(field, group)
+    space, two = honest.dspec.space, field.coerce(2)
 
     def section(b: Series) -> Series:
         c, g = b.leading_term()
-        return dspec.space.monomial(field.div(c, field.mul(two, field.coerce(g))), g)
+        return space.monomial(field.div(c, field.mul(two, field.coerce(g))), g)
 
-    return CheckInstance(
-        "broken-progress",
-        "section corrects only half of each leading term",
-        spec,
-        AsymptoticSection(section=section, contains=honest_section.contains),
-        *_derivation_samplers(dspec),
+    return replace(
+        honest,
+        name="broken-progress",
+        description="section corrects only half of each leading term",
+        section=AsymptoticSection(section=section, contains=honest.section.contains),
+        dspec=None,
     )
 
 
 _INSTANCES = {
-    "euler": _honest("euler", euler, "t*d/dt on exact series"),
+    "euler": _euler,
     "ddt": _honest("ddt", ddt, "d/dt on exact series"),
     "broken-order": _broken_order,
     "broken-monotone": _broken_monotone,

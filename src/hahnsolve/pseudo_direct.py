@@ -86,6 +86,9 @@ class ProductElement:
     def __iter__(self):
         return iter(self.components)
 
+    def __str__(self) -> str:
+        return "(" + "; ".join(map(str, self.components)) + ")"
+
 
 def min_valuation(t: ProductElement) -> OrderedValue:
     """Least component valuation; the top value exactly when all are zero.
@@ -332,15 +335,13 @@ def decompose(
 def check_sum_value_bound(t_samples: Sequence[ProductElement]) -> CheckReport:
     """The sum never undercuts the minimum component valuation."""
     violations = []
-    checked = 0
     for t in t_samples:
-        checked += 1
         base = min_valuation(t)
         total = sum_map(t)
         value = total.valuation_lower_bound()
         if not value >= base:
             violations.append(f"v(sum)={value!r} below min component value {base!r}")
-    return CheckReport("sum_value_bound", checked, tuple(violations))
+    return CheckReport("sum_value_bound", len(t_samples), tuple(violations))
 
 
 def product_nest_intersect(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import (
     IndeterminateValuation,
@@ -154,15 +154,13 @@ def solve(
         trace.append(TraceStep(k, value, s))
 
 
-def trace_entries(
-    result: SolveResult, group: ValueGroup, term_str: Callable[[Any], str] = str
-) -> list[dict]:
+def trace_entries(result: SolveResult, group: ValueGroup) -> list[dict]:
     """One JSON-ready dict per correction: iteration, residual value, term."""
     return [
         {
             "iter": step.iteration,
             "residual_value": ov_format(group, step.residual_value),
-            "term": term_str(step.term),
+            "term": str(step.term),
         }
         for step in result.trace
     ]
@@ -225,9 +223,7 @@ def check_value_monotonicity(
 ) -> CheckReport:
     """v(a) >= v(s) must force w(f(a)) >= w(f(s)) for section elements s."""
     violations = []
-    checked = 0
     for a, s in pairs:
-        checked += 1
         va, vs = spec.domain.valuation(a), spec.domain.valuation(s)
         if not va >= vs:
             continue  # vacuous antecedent
@@ -237,7 +233,7 @@ def check_value_monotonicity(
             violations.append(
                 f"v(a)={va!r}>=v(s)={vs!r} but w(f(a))={wa!r}<w(f(s))={ws!r}"
             )
-    return CheckReport("value_monotonicity", checked, tuple(violations))
+    return CheckReport("value_monotonicity", len(pairs), tuple(violations))
 
 
 def check_section_progress(
@@ -250,9 +246,7 @@ def check_section_progress(
     distinguished subset.
     """
     violations = []
-    checked = 0
     for b in targets:
-        checked += 1
         wb = spec.codomain.valuation(b)
         try:
             s = section.section(b)
@@ -272,7 +266,7 @@ def check_section_progress(
             violations.append(
                 f"value agreement broken: w(f(s))={spec.codomain.valuation(fs)!r} != w(b)={wb!r}"
             )
-    return CheckReport("section_progress", checked, tuple(violations))
+    return CheckReport("section_progress", len(targets), tuple(violations))
 
 
 def verify_section_injectivity(
@@ -280,14 +274,12 @@ def verify_section_injectivity(
 ) -> CheckReport:
     """Distinct section elements must have distinct images."""
     violations = []
-    checked = 0
     for s1, s2 in pairs:
-        checked += 1
         if spec.domain.eq(s1, s2):
             continue
         if spec.codomain.eq(spec.apply(s1), spec.apply(s2)):
             violations.append("distinct section elements with equal images")
-    return CheckReport("section_injectivity", checked, tuple(violations))
+    return CheckReport("section_injectivity", len(pairs), tuple(violations))
 
 
 def verify_value_map(
@@ -301,9 +293,7 @@ def verify_value_map(
     """
     observed = []
     violations = []
-    checked = 0
     for s in section_samples:
-        checked += 1
         vs = spec.domain.valuation(s)
         ws = spec.codomain.valuation(spec.apply(s))
         observed.append((vs, ws))
@@ -317,7 +307,8 @@ def verify_value_map(
         if not vs.is_infinite and not value_map.domain_contains(vs):
             violations.append(f"achieved value {vs!r} rejected by domain test")
     pairs, pair_violations = _value_pair_violations(observed)
-    return CheckReport("value_map_roundtrip", checked + pairs, tuple(violations + pair_violations))
+    checked = len(observed) + pairs
+    return CheckReport("value_map_roundtrip", checked, tuple(violations + pair_violations))
 
 
 # -- ball transport --------------------------------------------------------

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .errors import InvalidNest
 from .reporting import CheckReport
-from .valuegroups import INFINITY, OrderedValue, ValueGroup
+from .valuegroups import OrderedValue, ValueGroup
 
 Element = Any
 
@@ -90,7 +90,7 @@ class Ball:
 
 
 def check_ultrametric(
-    space: ValuedGroup, pairs: Iterable[tuple[Element, Element]]
+    space: ValuedGroup, pairs: Sequence[tuple[Element, Element]]
 ) -> CheckReport:
     """Check the valuation axioms on sampled element pairs.
 
@@ -99,9 +99,7 @@ def check_ultrametric(
     value occurs exactly at zero (via a - a).
     """
     violations = []
-    checked = 0
     for a, b in pairs:
-        checked += 1
         va, vb = space.valuation(a), space.valuation(b)
         diff = space.sub(a, b)
         vd = space.valuation(diff)
@@ -119,7 +117,7 @@ def check_ultrametric(
             continue
         if not space.valuation(space.sub(a, a)).is_infinite:
             violations.append("definiteness: v(a-a) is not the top value")
-    return CheckReport(name="ultrametric", checked=checked, violations=tuple(violations))
+    return CheckReport(name="ultrametric", checked=len(pairs), violations=tuple(violations))
 
 
 @dataclass(frozen=True)

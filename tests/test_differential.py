@@ -1,6 +1,7 @@
 """Term-wise derivations, formal integration, obstructions, sample checks."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -229,6 +230,27 @@ class TestSpec:
     def test_space_bundles_field_and_group(self):
         assert EULER.space == QZ
         assert DDT5.space == F5Z
+
+    @pytest.mark.parametrize(
+        "field, group, built_over, message",
+        [
+            (F5, hs.INTEGERS, (hs.QQ, hs.INTEGERS), "rationals with int exponents, not gf(5)"),
+            (hs.QQ, hs.INTEGERS, (hs.QQ, hs.RATIONALS), "rat exponents, not rationals with int"),
+        ],
+        ids=["GF5-vs-QQ", "int-vs-rat"],
+    )
+    @pytest.mark.parametrize("build", [hs.ddt, hs.euler, lambda f, g: hs.from_tables(f, g, {})])
+    def test_a_derivation_built_over_another_field_or_group_is_refused(
+        self, field, group, built_over, message, build
+    ):
+        # over GF(5) a QQ derivation hands back Fraction coefficients
+        with pytest.raises(hs.ParseError, match=re.escape(message)):
+            hs.DifferentialFieldSpec(field, group, build(*built_over))
+
+    def test_a_derivation_records_what_it_was_built_for(self):
+        for d in (hs.ddt(F5, hs.RATIONALS), hs.from_tables(F5, hs.RATIONALS, {1: 1})):
+            assert (d.field, d.group) == (F5, hs.RATIONALS)
+            hs.DifferentialFieldSpec(F5, hs.RATIONALS, d)
 
 
 class TestSection:

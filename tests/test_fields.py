@@ -64,7 +64,7 @@ class TestPrimeField:
 
     def test_coerce_names_a_fraction_without_image(self):
         f = hs.PrimeField(3)
-        with pytest.raises(ZeroDivisionError, match=r"^1/3 has no image in gf\(3\)$"):
+        with pytest.raises(hs.ParseError, match=r"^1/3 has no image in gf\(3\)$"):
             f.coerce(Fraction(1, 3))
         assert f.coerce(Fraction(3, 2)) == 0
 

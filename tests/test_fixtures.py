@@ -1,4 +1,5 @@
-"""Check fixtures: the instance table, report order, canaries and pinned counts."""
+"""Check fixtures: the instance table, report order, canaries, and pinned
+counts and violation texts."""
 
 import random
 
@@ -46,6 +47,61 @@ PINNED_4242 = {
     ],
 }
 
+OV = "OrderedValue"
+
+# the one failing report of each broken instance at seed 4242, 60 samples,
+# and its first violation
+FIRST_VIOLATION_4242 = {
+    "broken-order": (
+        "value_map_order",
+        f"order not strictly preserved: {OV}(2)<{OV}(3) but {OV}(3)>={OV}(3)",
+    ),
+    "broken-monotone": (
+        "value_monotonicity",
+        f"v(a)={OV}(0)>=v(s)={OV}(-1) but w(f(a))={OV}(-10)<w(f(s))={OV}(-1)",
+    ),
+    "broken-progress": (
+        "section_progress",
+        f"no strict improvement: w(b)={OV}(9), w(b-f(s))={OV}(9)",
+    ),
+}
+
+
+def _no_progress(*values):
+    return tuple(f"no strict improvement: w(b)={OV}({v}), w(b-f(s))={OV}({v})" for v in values)
+
+
+_HONEST_7 = [
+    ("value_map_order", 15, 0, ()),
+    ("value_monotonicity", 6, 0, ()),
+    ("section_progress", 6, 0, ()),
+    ("value_map_roundtrip", 21, 0, ()),
+    ("section_injectivity", 3, 0, ()),
+    ("differential_valuation", 6, 1, ()),
+    ("derivative_monotonicity", 6, 0, ()),
+]
+
+# (name, checked, skipped, violation texts) of every report at seed 7, 6 samples
+PINNED_7 = {
+    "euler": _HONEST_7,
+    "ddt": _HONEST_7,
+    "broken-order": [
+        ("value_map_order", 15, 0, (FIRST_VIOLATION_4242["broken-order"][1],) * 2),
+        ("value_monotonicity", 6, 0, ()),
+        ("section_progress", 6, 0, ()),
+    ],
+    "broken-monotone": [
+        ("value_map_order", 15, 0, ()),
+        ("value_monotonicity", 6, 0, (FIRST_VIOLATION_4242["broken-monotone"][1],)),
+        ("section_progress", 6, 0, ()),
+    ],
+    "broken-progress": [
+        ("value_map_order", 15, 0, ()),
+        ("value_monotonicity", 6, 0, ()),
+        ("section_progress", 6, 0, _no_progress(-10, -8, -6, 1, -10, -4)),
+    ],
+}
+
 
 def test_instance_names_in_order():
     assert hs.instance_names() == NAMES
@@ -74,6 +130,20 @@ def test_reports_in_order_pinned_at_seed_4242(name):
     reports = hs.run_instance_checks(hs.build_instance(name), seed=4242, samples=60)
     got = [(r.name, r.checked, r.skipped, len(r.violations)) for r in reports]
     assert got == PINNED_4242[name]
+
+
+@pytest.mark.parametrize("name", NAMES[2:])
+def test_first_violation_pinned_at_seed_4242(name):
+    reports = hs.run_instance_checks(hs.build_instance(name), seed=4242, samples=60)
+    failing = [(r.name, r.violations[0]) for r in reports if r.violations]
+    assert failing == [FIRST_VIOLATION_4242[name]]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_reports_pinned_in_full_at_seed_7(name):
+    reports = hs.run_instance_checks(hs.build_instance(name), seed=7, samples=6)
+    got = [(r.name, r.checked, r.skipped, r.violations) for r in reports]
+    assert got == PINNED_7[name]
 
 
 @pytest.mark.parametrize("samples", [-1, 0, 1])

@@ -133,7 +133,7 @@ class TestTraceJson:
         spec, section, _ = euler_parts
         b = QZ.series([(2, 1), (9, 3)])
         result = hs.solve(spec, section, b)
-        assert hs.trace_entries(result, hs.INTEGERS, hs.series_to_text) == [
+        assert hs.trace_entries(result, hs.INTEGERS) == [
             {"iter": 1, "residual_value": "3", "term": "2*t^1"},
             {"iter": 2, "residual_value": "inf", "term": "3*t^3"},
         ]

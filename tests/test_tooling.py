@@ -4,9 +4,11 @@
 Its own tests live outside this suite, so a rename here would otherwise
 break ``perfbench/run.py --trace 1`` unseen.  The tracer is loaded from its
 file without writing bytecode next to it.  The README's Layout block must
-name every module of the package, no more and no fewer.
+name every module of the package, no more and no fewer, and no module may
+import at its top level a name it never uses.
 """
 
+import ast
 import importlib.util
 import re
 import sys
@@ -35,3 +37,32 @@ def test_readme_layout_names_every_module():
     listed = re.findall(r"^  (\w+\.py)\b", layout, flags=re.MULTILINE)
     modules = sorted(p.name for p in (ROOT / "src" / "hahnsolve").glob("*.py"))
     assert sorted(listed) == [m for m in modules if m != "__init__.py"]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports at its top level and never names again."""
+    tree = ast.parse(source)
+    imports = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in imports
+        if getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in named]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted((ROOT / "src" / "hahnsolve").glob("*.py"))
+    unused = {
+        m.name: names
+        for m in modules
+        if m.name != "__init__.py" and (names := _unused_imports(m.read_text()))
+    }
+    assert unused == {}
+
+
+def test_the_unused_import_finder_sees_one():
+    source = "from typing import Any, Sequence\nimport os\n\nx: Sequence = os.sep\n"
+    assert _unused_imports(source) == ["Any"]
