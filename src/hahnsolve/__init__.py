@@ -72,7 +72,6 @@ from .differential import (
     derive,
     euler,
     from_tables,
-    has_no_constant_term,
     integrate,
     integration_instance,
     parse_derivation,

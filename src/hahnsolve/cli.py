@@ -142,10 +142,10 @@ def cmd_decompose(args: argparse.Namespace, field: CoefficientField, group: Valu
     precision = a.truncation if precision is None else precision
     result = decompose_solve(subgroups, a, precision=precision, max_iter=args.max_iter)
     parts: ProductElement = result.solution
-    if a.terms:
-        verdict = "pass" if check_pseudo_direct_witness(a, parts) else "FAIL"
-    else:
+    if a.valuation_lower_bound() >= precision:  # a is zero to the precision solved to
         verdict = "vacuous"
+    else:
+        verdict = "pass" if check_pseudo_direct_witness(a, parts) else "FAIL"
     value = ov_format(group, result.residual_value)
     lines = [
         *(f"part {sub.name}: {series_to_text(s)}" for sub, s in zip(subgroups, parts.components)),

@@ -192,13 +192,10 @@ def derive(derivation: TermwiseDerivation, s: Series) -> Series:
     return _trusted(field, s.group, kept, truncation)
 
 
-def has_no_constant_term(s: Series) -> bool:
-    return s.group.zero not in s.support
-
-
 def _outside_subset(dspec: DifferentialFieldSpec) -> Callable[[GroupElement], bool]:
-    """Exponents a solution never carries: zero, and where ``d`` vanishes."""
-    return lambda g: g == dspec.group.zero or dspec.field.is_zero(dspec.derivation.scale(g))
+    """Exponents a solution never carries: those where ``d`` vanishes.  Zero
+    is one of them, since ``DifferentialFieldSpec`` refuses ``d(0) != 0``."""
+    return lambda g: dspec.field.is_zero(dspec.derivation.scale(g))
 
 
 def asymptotic_section(dspec: DifferentialFieldSpec, b: Series) -> Series:

@@ -47,12 +47,10 @@ class SectionFailure(SolveError):
     """The section oracle cannot improve the current residual.
 
     ``residual`` is attached by the solver when the failure surfaces inside a
-    solve run.
+    solve run, and is ``None`` otherwise.
     """
 
-    def __init__(self, message="section cannot improve the residual", residual=None):
-        super().__init__(message)
-        self.residual = residual
+    residual = None
 
 
 class Obstruction(SectionFailure):
@@ -65,9 +63,6 @@ class Obstruction(SectionFailure):
 
 class NotPseudoDirect(SectionFailure):
     """No component assignment witnesses pseudo-directness for this element."""
-
-    def __init__(self, message="no admissible component assignment improves the residual"):
-        super().__init__(message)
 
 
 class NoProgress(SolveError):

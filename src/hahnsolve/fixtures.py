@@ -5,10 +5,11 @@ derivation data, and seeded samplers tuned so that every hypothesis check
 receives samples satisfying its preconditions.  The broken instances exist to
 prove the checks have teeth: each one targets one hypothesis, with
 deterministic canary samples that trip the intended check regardless of seed.
-``broken-monotone`` and ``broken-progress`` start from the Euler fixture and
-replace one part of it (the map, the section), so they pass every other check;
-``broken-order`` also fails ``value_monotonicity`` at seeds that draw a sample
-whose ``t^2`` and ``t^3`` coefficients cancel (see ``_broken_order``).
+All three start from the Euler fixture.  ``broken-monotone`` and
+``broken-progress`` replace one part of it (the map, the section), so they pass
+every other check; ``broken-order`` takes only its subset (no constant term),
+and also fails ``value_monotonicity`` at seeds that draw a sample whose ``t^2``
+and ``t^3`` coefficients cancel (see ``_broken_order``).
 
     euler            honest t*d/dt integration instance
     ddt              honest d/dt instance (targets avoid the obstructed exponent)
@@ -30,7 +31,6 @@ from .differential import (
     check_differential_valuation,
     ddt,
     euler,
-    has_no_constant_term,
     integration_instance,
 )
 from .errors import ParseError
@@ -153,13 +153,13 @@ def _termwise_hom(space: SeriesSpace, scale, shift) -> HomomorphismSpec:
 def _broken_order(field: CoefficientField, group: ValueGroup) -> CheckInstance:
     """Relabels exponent 2 to 3: two distinct values share an image value.
 
-    The section inverts the relabelling by picking the smallest preimage, so
-    progress still holds on targets avoiding exponents 0 and 2.  No exponent
-    moves down, but a series ``c t^2 - c t^3 + ...`` loses both terms under
-    the map, so its image value jumps up.  When such a series is the ``s`` of
-    a sampled pair, value comparisons fail to transfer and
-    ``value_monotonicity`` flags it too (seed 2016045923 with 60 samples draws
-    one whose image is zero).
+    Its subset is the Euler fixture's.  The section inverts the relabelling
+    by picking the smallest preimage, so progress still holds on targets
+    avoiding exponents 0 and 2.  No exponent moves down, but a series
+    ``c t^2 - c t^3 + ...`` loses both terms under the map, so its image value
+    jumps up.  When such a series is the ``s`` of a sampled pair, value
+    comparisons fail to transfer and ``value_monotonicity`` flags it too (seed
+    2016045923 with 60 samples draws one whose image is zero).
     """
     space = SeriesSpace(field, group)
     relabel = lambda g: 3 if g in (2, 3) else g
@@ -173,7 +173,7 @@ def _broken_order(field: CoefficientField, group: ValueGroup) -> CheckInstance:
         "broken-order",
         "induced value map collapses values 2 and 3",
         _termwise_hom(space, lambda g: field.one, relabel),
-        AsymptoticSection(section=section, contains=has_no_constant_term),
+        AsymptoticSection(section=section, contains=_euler(field, group).section.contains),
         *_samplers(space, {0}, {0, 2}, canaries=canaries),
     )
 

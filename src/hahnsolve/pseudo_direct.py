@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 
 from .errors import IndeterminateValuation, NotPseudoDirect, ParseError
 from .fields import CoefficientField, FieldElement, _split_top_level, parse_number
+from .parsing import parse_series
 from .reporting import CheckReport
 from .series import Series, SeriesSpace, Term, _trusted
 from .solver import (
@@ -371,8 +372,6 @@ def parse_subgroup(
 
     The residue patterns (``even``, ``odd``, ``mod:``) need scalar exponents
     and are refused over a lexicographic pair group."""
-    from .parsing import parse_series
-
     text = text.strip()
     residues = {"even": "mod:2:0", "odd": "mod:2:1"}.get(text, text)
     if residues.startswith("mod:"):

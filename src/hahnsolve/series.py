@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -303,25 +302,17 @@ class SeriesSpace(ValuedGroup):
         return a.valuation_lower_bound()
 
     def monomial(self, coefficient, exponent: GroupElement) -> Series:
-        return make_series(
-            self.field, self.group, [(self._coeff(coefficient), exponent)], INFINITY
-        )
+        return self.series([(coefficient, exponent)])
 
     def series(
         self,
         pairs: Iterable[tuple[FieldElement, GroupElement]],
         truncation: OrderedValue = INFINITY,
     ) -> Series:
-        """Build from (coefficient, exponent) pairs; int/Fraction coefficients
-        are coerced into the field."""
+        """Build from (coefficient, exponent) pairs.  Each coefficient, an
+        ``int`` or a ``Fraction`` (as every field element here is), goes
+        through ``field.coerce``: ``1/2`` is ``4`` over GF(7)."""
+        coerce = self.field.coerce
         return make_series(
-            self.field,
-            self.group,
-            [(self._coeff(c), g) for c, g in pairs],
-            truncation,
+            self.field, self.group, [(coerce(c), g) for c, g in pairs], truncation
         )
-
-    def _coeff(self, c) -> FieldElement:
-        if isinstance(c, (int, Fraction)):
-            return self.field.coerce(c)
-        return c

@@ -123,20 +123,19 @@ def solve(
     a = spec.domain.zero
     residual = b
     trace: list[TraceStep] = []
-    k = 0
     value, determined = _value_or_bound(spec.codomain, residual)
     while True:
         if determined and value.is_infinite:
-            return SolveResult(a, INFINITY, k, True, tuple(trace))
+            return SolveResult(a, INFINITY, len(trace), True, tuple(trace))
         if value >= precision:
-            return SolveResult(a, value, k, False, tuple(trace))
+            return SolveResult(a, value, len(trace), False, tuple(trace))
         if not determined:
             raise IndeterminateValuation(
                 "residual valuation undetermined below the requested precision",
                 bound=value,
             )
-        if k >= max_iter:
-            raise IterationLimit(iterations=k, residual_value=value)
+        if len(trace) >= max_iter:
+            raise IterationLimit(iterations=len(trace), residual_value=value)
         try:
             s = section.section(residual)
         except SectionFailure as e:
@@ -150,8 +149,7 @@ def solve(
             )
         a = spec.domain.add(a, s)
         residual, value = new_residual, new_value
-        k += 1
-        trace.append(TraceStep(k, value, s))
+        trace.append(TraceStep(len(trace) + 1, value, s))
 
 
 def trace_entries(result: SolveResult, group: ValueGroup) -> list[dict]:

@@ -85,9 +85,6 @@ class Ball:
         """
         return other.contains(self.center) and self.radius >= other.radius
 
-    def same_ball(self, other: "Ball") -> bool:
-        return self.subset(other) and other.subset(self)
-
 
 def check_ultrametric(
     space: ValuedGroup, pairs: Sequence[tuple[Element, Element]]

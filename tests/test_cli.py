@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,48 @@ class TestDecompose:
         code, out, _ = run_cli(["decompose", "--parts", "even,odd", "0"])
         assert code == 0
         assert "witness: vacuous" in out
+
+    @pytest.mark.parametrize("parts", ["even,odd", "span:{t^1},span:{t^2}"])
+    def test_target_zero_to_the_precision_is_vacuous(self, parts):
+        # t^1 + t^2 lies in the ball of radius 1, so there is nothing to split
+        argv = ["decompose", "--parts", parts, "--precision", "1", "t^1 + t^2"]
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == ["witness: vacuous", "residual_value: 1"]
+        code, out, err = run_cli([*argv, "--output", "json"])
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert (result["witness"], result["iterations"]) == ("vacuous", 0)
+
+    def test_residue_families_never_fail_the_witness(self):
+        # seeded targets over QQ, GF(5) and GF(7), solved to a precision at
+        # most the target's bound (above it the solve is refused)
+        rng = random.Random(16)
+        verdicts = set()
+        for _ in range(400):
+            k = rng.randint(2, 5)
+            bound = rng.choice([None, *range(-2, 9)])
+            exponents = rng.sample(range(-3, 9), rng.randint(0, 5))
+            terms = [
+                f"{rng.randint(1, 9)}*t^{g}"
+                for g in sorted(exponents)
+                if bound is None or g < bound
+            ]
+            text = " + ".join(terms + ([] if bound is None else [f"O({bound})"])) or "0"
+            argv = [
+                "decompose",
+                "--field", rng.choice(["rationals", "prime:5", "prime:7"]),
+                "--parts", ",".join(f"mod:{k}:{r}" for r in range(k)),
+                text,
+            ]
+            top = 10 if bound is None else bound + 1
+            precision = rng.choice([None, *range(-3, top), *(["inf"] if bound is None else [])])
+            if precision is not None:
+                argv += ["--precision", str(precision)]
+            code, out, err = run_cli(argv)
+            assert (code, err) == (0, ""), argv
+            verdicts.add(out.splitlines()[-2])
+        assert verdicts == {"witness: pass", "witness: vacuous"}
 
     def test_not_pseudo_direct_exit_code(self):
         code, _, err = run_cli(

@@ -294,7 +294,7 @@ class TestIntegrate:
     def test_solution_avoids_constant_term(self):
         result = hs.integrate(DDT, QZ.monomial(1, 0))
         assert result.solution == QZ.monomial(1, 1)
-        assert hs.has_no_constant_term(result.solution)
+        assert 0 not in result.solution.support
 
     def test_prime_field_integration(self):
         result = hs.integrate(DDT5, F5Z.monomial(1, 1))

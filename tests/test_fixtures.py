@@ -156,3 +156,20 @@ def test_fewer_than_two_samples_are_refused(samples):
 def test_two_samples_catch_each_broken_instance(name):
     reports = hs.run_instance_checks(hs.build_instance(name), seed=0, samples=2)
     assert not all(r.ok for r in reports)
+
+
+def test_broken_order_takes_the_euler_subset():
+    space = hs.SeriesSpace(hs.QQ, hs.INTEGERS)
+    series = [
+        space.zero,
+        space.monomial(1, 0),
+        space.monomial(3, 2),
+        space.series([(1, -2), (5, 0), (1, 3)]),
+        space.series([(1, -1), (2, 4)]),
+        space.series([(7, 0)], hs.OrderedValue(1)),
+        space.series([], hs.OrderedValue(0)),
+    ]
+    euler = hs.build_instance("euler").section.contains
+    order = hs.build_instance("broken-order").section.contains
+    assert [order(s) for s in series] == [euler(s) for s in series]
+    assert [euler(s) for s in series] == [True, False, True, False, True, False, True]

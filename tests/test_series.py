@@ -402,3 +402,45 @@ class TestPrimeFieldSeries:
     def test_neg_wraps(self):
         s = F5Z.series([(2, 0)])
         assert s.neg().coefficient(0) == 3
+
+
+F7Z = hs.SeriesSpace(hs.PrimeField(7), hs.INTEGERS)
+
+# (space, coefficient, the field element it becomes)
+COERCION_TABLE = {
+    "QQ int": (QZ, 3, Fraction(3)),
+    "QQ fraction": (QZ, Fraction(1, 2), Fraction(1, 2)),
+    "GF(7) int": (F7Z, 10, 3),
+    "GF(7) negative int": (F7Z, -1, 6),
+    "GF(7) fraction": (F7Z, Fraction(1, 2), 4),
+    "GF(7) fraction in lowest terms": (F7Z, Fraction(10, 4), 6),
+}
+
+
+class TestSpaceCoercesCoefficients:
+    @pytest.mark.parametrize("case", sorted(COERCION_TABLE))
+    def test_series_and_monomial_coerce_into_the_field(self, case):
+        space, c, element = COERCION_TABLE[case]
+        s = space.series([(c, 2), (1, 5)])
+        assert s.terms == (hs.Term(element, 2), hs.Term(space.field.one, 5))
+        assert space.monomial(c, 2).terms == (hs.Term(element, 2),)
+        assert type(s.coefficient(2)) is type(element)
+
+    @pytest.mark.parametrize(
+        "space, zero",
+        [(QZ, 0), (QZ, Fraction(0)), (F7Z, 0), (F7Z, Fraction(0)), (F7Z, 7),
+         (F7Z, Fraction(14, 3))],
+    )
+    def test_a_zero_coefficient_is_dropped(self, space, zero):
+        assert space.monomial(zero, 2) == space.zero
+        assert space.series([(zero, 2), (1, 3)]).terms == (hs.Term(space.field.one, 3),)
+
+    @pytest.mark.parametrize("space", [QZ, F7Z], ids=["QQ", "GF(7)"])
+    @pytest.mark.parametrize("c", [0, 1, -2, 9, Fraction(1, 2), Fraction(-5, 3)])
+    @pytest.mark.parametrize("g", [-1, 0, 4])
+    def test_monomial_is_the_one_term_series(self, space, c, g):
+        assert space.monomial(c, g) == space.series([(c, g)])
+
+    def test_a_fraction_without_image_is_refused(self):
+        with pytest.raises(hs.ParseError, match="no image"):
+            F7Z.monomial(Fraction(1, 7), 0)

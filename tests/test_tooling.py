@@ -5,7 +5,8 @@ Its own tests live outside this suite, so a rename here would otherwise
 break ``perfbench/run.py --trace 1`` unseen.  The tracer is loaded from its
 file without writing bytecode next to it.  The README's Layout block must
 name every module of the package, no more and no fewer, and no module may
-import at its top level a name it never uses.
+import at its top level a name it never uses.  A function imports a sibling
+module only where an import cycle forces it.
 """
 
 import ast
@@ -66,3 +67,39 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_the_unused_import_finder_sees_one():
     source = "from typing import Any, Sequence\nimport os\n\nx: Sequence = os.sep\n"
     assert _unused_imports(source) == ["Any"]
+
+
+def _sibling_imports_in_functions(source: str, module: str) -> list[str]:
+    """``module.qualname -> sibling`` for each relative import in a function body."""
+    found = []
+
+    def visit(node: ast.AST, path: list[str], in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if in_function and isinstance(child, ast.ImportFrom) and child.level:
+                found.append(f"{'.'.join(path)} -> {child.module or child.names[0].name}")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                is_function = not isinstance(child, ast.ClassDef)
+                visit(child, [*path, child.name], in_function or is_function)
+            else:
+                visit(child, path, in_function)
+
+    visit(ast.parse(source), [module], False)
+    return found
+
+
+# parsing imports series, so series can reach parsing only at call time
+_CYCLE_FORCED = {"series.Series.__str__ -> parsing"}
+
+
+def test_no_function_imports_a_sibling_unless_a_cycle_forces_it():
+    modules = sorted((ROOT / "src" / "hahnsolve").glob("*.py"))
+    found = [f for m in modules for f in _sibling_imports_in_functions(m.read_text(), m.stem)]
+    assert set(found) - _CYCLE_FORCED == set()
+
+
+def test_the_function_import_finder_sees_nested_ones():
+    source = (
+        "from . import top\n\ndef f():\n    from .a import x\n\n"
+        "class K:\n    def g(self):\n        import os\n        from . import b\n"
+    )
+    assert _sibling_imports_in_functions(source, "m") == ["m.f -> a", "m.K.g -> b"]

@@ -34,7 +34,7 @@ class TestBall:
     def test_any_member_is_a_center(self):
         b = ball([(1, 1)], 1)
         other = hs.Ball(QZ, QZ.series([(1, 1), (1, 3)]), hs.OrderedValue(1))
-        assert b.same_ball(other)
+        assert b.subset(other) and other.subset(b)
 
     def test_subset_needs_center_and_radius(self):
         big = ball([], 1)
