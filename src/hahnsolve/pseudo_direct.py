@@ -150,6 +150,13 @@ class ProductGroup(ValuedGroup):
     def neg(self, a: ProductElement) -> ProductElement:
         return ProductElement(tuple(sp.neg(x) for sp, x in zip(self.spaces, a.components)))
 
+    def total(self, parts: Sequence[ProductElement]) -> ProductElement:
+        """Each space's ``total`` of its components; a part of another width is refused."""
+        if any(len(p.components) != len(self.spaces) for p in parts):
+            raise ValueError(f"product parts must have {len(self.spaces)} components")
+        columns = zip(*(p.components for p in parts)) if parts else [()] * len(self.spaces)
+        return ProductElement(tuple(sp.total(c) for sp, c in zip(self.spaces, columns)))
+
     def valuation(self, a: ProductElement) -> OrderedValue:
         return min_valuation(a)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptySupport, IndeterminateValuation
 from .fields import CoefficientField, FieldElement
@@ -47,10 +47,10 @@ class Series:
     A direct construction checks all three and raises ``ValueError`` if one
     fails.  ``make_series`` (and the ``SeriesSpace`` helpers) normalizes an
     arbitrary term list; it, the arithmetic below (``add``, ``sub``, ``neg``,
-    ``scale``, ``truncate`` and ``SeriesSpace.zero``), ``derive`` under an
-    increasing shift, ``asymptotic_section`` and the decomposition section's
-    one-term monomial build their results without the check, because the
-    invariants hold by construction.
+    ``scale``, ``truncate``, ``SeriesSpace.zero`` and ``SeriesSpace.total``),
+    ``derive`` under an increasing shift, ``asymptotic_section`` and the
+    decomposition section's one-term monomial build their results without
+    the check, because the invariants hold by construction.
 
     ``valuation`` raises ``IndeterminateValuation`` for a series that is zero
     only to its precision; ``valuation_lower_bound`` is the way to read the
@@ -243,7 +243,10 @@ def _merge(x: Series, y: Series, negate: bool) -> Series:
     exponents in the longer one (past the end or at the cursor, where a
     correction step lands, else by bisection), so the runs in between are
     copied as slices; only coefficients at shared exponents are added and
-    tested for zero.  The result is cut at the smaller truncation.
+    tested for zero.  A subtrahend strictly shorter than ``x`` is negated
+    term by term as placed; else its runs are copied, so it is negated first.
+    The tail after the last placed term is one slice, and the result is cut
+    at the smaller truncation, compared only when neither side is exact.
     """
     x._like(y)
     if not y.terms and (y.truncation.is_infinite or x.truncation <= y.truncation):
@@ -251,11 +254,14 @@ def _merge(x: Series, y: Series, negate: bool) -> Series:
     if not x.terms and (x.truncation.is_infinite or y.truncation <= x.truncation):
         return y.neg() if negate else y
     field = x.field
-    ys = tuple(Term(field.neg(c), g) for c, g in y.terms) if negate else y.terms
+    lazy = negate and len(y.terms) < len(x.terms)
+    ys = tuple(Term(field.neg(c), g) for c, g in y.terms) if negate and not lazy else y.terms
     short, long = (x.terms, ys) if len(x.terms) <= len(ys) else (ys, x.terms)
     out: list[Term] = []
     i = 0
     for term in short:
+        if lazy:
+            term = Term(field.neg(term.coefficient), term.exponent)
         g = term.exponent
         if g > long[-1].exponent:
             j = len(long)
@@ -270,9 +276,10 @@ def _merge(x: Series, y: Series, negate: bool) -> Series:
         else:
             out.append(term)
         i = j
-    out += long[i:]
-    truncation = min(x.truncation, y.truncation)
-    return _trusted(field, x.group, _below(tuple(out), truncation), truncation)
+    terms = tuple(out) + long[i:] if out else long[i:]
+    xt, yt = x.truncation, y.truncation
+    truncation = xt if yt.is_infinite else yt if xt.is_infinite else min(xt, yt)
+    return _trusted(field, x.group, _below(terms, truncation), truncation)
 
 
 @dataclass(frozen=True)
@@ -294,6 +301,25 @@ class SeriesSpace(ValuedGroup):
 
     def sub(self, a: Series, b: Series) -> Series:
         return a.sub(b)
+
+    def total(self, parts: Sequence[Series]) -> Series:
+        """The sum of ``parts``.  When their terms strictly ascend from part
+        to part, as an in-order solve's corrections do, they are joined and
+        cut at the least finite truncation, unchecked and with no comparison
+        for an exact part; otherwise ``add`` is folded over them."""
+        field, group = self.field, self.group
+        terms: list[Term] = []
+        truncation = INFINITY
+        for part in parts:
+            if part.field is not field or part.group is not group:
+                self.zero._like(part)  # refuses another field or value group
+            if part.terms:
+                if terms and not terms[-1].exponent < part.terms[0].exponent:
+                    return super().total(parts)
+                terms += part.terms
+            if part.truncation.finite is not None and part.truncation < truncation:
+                truncation = part.truncation
+        return _trusted(field, group, _below(tuple(terms), truncation), truncation)
 
     def valuation(self, a: Series) -> OrderedValue:
         return a.valuation()

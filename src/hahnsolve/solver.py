@@ -3,7 +3,8 @@
 Given a homomorphism ``f`` between valued abelian groups and a section oracle
 that, for any nonzero target ``b``, produces an element ``s`` of a
 distinguished subset with ``w(b - f(s)) > w(b)``, the engine solves
-``f(a) = b`` by accumulating corrections.  The residual's value rises strictly
+``f(a) = b`` by collecting corrections, and returns their sum, built once as
+the domain's ``total`` of the trace.  The residual's value rises strictly
 at every step, so at desk scale the loop either hits an exact solution, passes
 the requested precision, or reports a meaningful failure: the oracle got stuck
 (``SectionFailure``), the oracle lied about progress (``NoProgress``), or the
@@ -118,17 +119,17 @@ def solve(
     Stops as soon as the residual is exactly zero (``exact=True``) or its
     value reaches ``precision``; otherwise each step must strictly raise the
     residual's value.  ``residual_value`` reports the certified lower bound
-    when the final residual is only known up to its own precision.
+    when the final residual is only known up to its own precision.  The
+    solution is built once, as the domain's ``total`` of the corrections.
     """
-    a = spec.domain.zero
     residual = b
     trace: list[TraceStep] = []
     value, determined = _value_or_bound(spec.codomain, residual)
     while True:
-        if determined and value.is_infinite:
-            return SolveResult(a, INFINITY, len(trace), True, tuple(trace))
-        if value >= precision:
-            return SolveResult(a, value, len(trace), False, tuple(trace))
+        exact = determined and value.is_infinite
+        if exact or value >= precision:
+            solution = spec.domain.total([step.term for step in trace])
+            return SolveResult(solution, value, len(trace), exact, tuple(trace))
         if not determined:
             raise IndeterminateValuation(
                 "residual valuation undetermined below the requested precision",
@@ -147,7 +148,6 @@ def solve(
             raise NoProgress(
                 f"correction did not raise the residual value ({value!r} -> {new_value!r})"
             )
-        a = spec.domain.add(a, s)
         residual, value = new_residual, new_value
         trace.append(TraceStep(len(trace) + 1, value, s))
 

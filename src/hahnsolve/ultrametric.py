@@ -17,6 +17,7 @@ in a ball is decided from that bound, and refused with
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -53,6 +54,10 @@ class ValuedGroup(ABC):
 
     def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.neg(b))
+
+    def total(self, parts: Sequence[Element]) -> Element:
+        """The sum of ``parts``: the left fold of ``add`` from ``zero``."""
+        return functools.reduce(self.add, parts, self.zero)
 
     def is_zero(self, a: Element) -> bool:
         return self.valuation(a).is_infinite

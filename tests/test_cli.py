@@ -95,6 +95,21 @@ class TestIntegrate:
         assert code == 1
         assert "valuation" in err
 
+    def test_descending_corrections_sum_in_order(self):
+        # the order-reversing table corrects t^2 before t^1
+        code, out, err = run_cli(
+            ["integrate", "--derivation", "d:1=1,2=1;sigma:1=5,2=3", "t^3 + t^5"]
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "solution: t^1 + t^2",
+            "residual_value: inf",
+            "iterations: 2",
+            "exact: true",
+            'trace: {"iter": 1, "residual_value": "5", "term": "t^2"}',
+            'trace: {"iter": 2, "residual_value": "inf", "term": "t^1"}',
+        ]
+
     def test_json_output_is_one_line(self):
         code, out, _ = run_cli(
             ["integrate", "--derivation", "ddt", "--output", "json", "3*t^2"]

@@ -1,5 +1,6 @@
 """Pseudo-direct witnesses, product groups, decomposition, span systems."""
 
+import functools
 import random
 from fractions import Fraction
 from itertools import product
@@ -54,25 +55,28 @@ PRODUCT_SPACES = [
 ]
 
 
-@st.composite
-def product_operands(draw):
-    """Two equal-length tuples over one space whose components are exact
-    zeros, zeros only to a precision (``O(g)``) or series with terms, exact
-    or truncated."""
-    space = draw(st.sampled_from(PRODUCT_SPACES))
+def _components(space):
+    """Exact zeros, zeros only to a precision (``O(g)``) and series with
+    terms, exact or truncated."""
     if space.group == hs.RATIONALS:
         elements = st.fractions(-6, 6, max_denominator=3)
     else:
         elements = st.integers(-6, 6)
     pairs = st.lists(st.tuples(st.integers(-9, 9), elements), min_size=1, max_size=6)
-    component = st.one_of(
+    return st.one_of(
         st.just(space.zero),
         elements.map(lambda g: space.series([], OV(g))),
         st.builds(space.series, pairs, st.one_of(st.just(INF), elements.map(OV))),
     )
+
+
+@st.composite
+def product_operands(draw, count=2):
+    """``count`` equal-length tuples over one space, of ``_components``."""
+    space = draw(st.sampled_from(PRODUCT_SPACES))
     k = draw(st.integers(1, 5))
-    a, b = (tup(*draw(st.lists(component, min_size=k, max_size=k))) for _ in range(2))
-    return space, a, b
+    tuples = st.lists(_components(space), min_size=k, max_size=k).map(lambda c: tup(*c))
+    return (space, *(draw(tuples) for _ in range(count)))
 
 
 def _merged(space, components):
@@ -129,6 +133,44 @@ class TestSumAndProduct:
         assert hs.sum_map(tup(QZ.zero, lead, QZ.zero)) is lead
         product = hs.ProductGroup((QZ, QZ))
         assert product.add(tup(lead, lead), tup(blurry, QZ.zero)) == tup(cut, lead)
+
+    @given(product_operands(count=4), st.integers(0, 4))
+    def test_total_matches_the_fold(self, operands, count):
+        space, *parts = operands
+        product = hs.ProductGroup(tuple(space for _ in parts[0]))
+        parts = parts[:count]
+        assert product.total(parts) == functools.reduce(product.add, parts, product.zero)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_total_of_a_split_in_order(self, k):
+        # one monomial per part, in the component a residue-class family gives
+        # it: each component's terms ascend from part to part
+        product = hs.ProductGroup((F7Z,) * k)
+        parts = [
+            tup(*(F7Z.monomial(g + 1, g) if i == g % k else F7Z.zero for i in range(k)))
+            for g in range(-3, 9)
+        ]
+        got = product.total(parts)
+        assert got == functools.reduce(product.add, parts, product.zero)
+        assert hs.sum_map(got) == F7Z.series([(g + 1, g) for g in range(-3, 9)])
+
+    def test_total_of_parts_that_cancel_and_of_none(self):
+        product = hs.ProductGroup((QZ, QZ))
+        a = tup(QZ.series([(1, 1), (2, 4)]), QZ.monomial(3, 0))
+        assert product.total([a, product.neg(a)]) == product.zero
+        assert product.total([]) == product.zero
+        cut = tup(blurry(3), QZ.zero)
+        expected = tup(QZ.series([(1, 1)], OV(3)), QZ.monomial(3, 0))
+        assert product.total([a, cut]) == product.add(a, cut) == expected
+
+    def test_total_refuses_a_part_of_another_width_or_space(self):
+        product = hs.ProductGroup((QZ, QZ))
+        one = tup(QZ.monomial(1, 1), QZ.zero)
+        for stray in (tup(QZ.monomial(1, 2)), tup(QZ.zero, QZ.zero, QZ.monomial(1, 2))):
+            with pytest.raises(ValueError, match="must have 2 components"):
+                product.total([one, stray])
+        with pytest.raises(ValueError, match="different fields or value groups"):
+            product.total([one, tup(QZ.zero, F7Z.monomial(1, 2))])
 
     def test_product_group_is_ultrametric(self):
         import random

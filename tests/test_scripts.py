@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import hahnsolve as hs
 from hahnsolve.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +37,21 @@ def test_script_exits_zero(argv, monkeypatch):
     with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
         runpy.run_path(str(SCRIPTS / argv[0]), run_name="__main__")
     assert exit_info.value.code == 0, out.getvalue()
+
+
+def test_integrate_scaling_matches_the_oracle_at_small_sizes(capsys):
+    # sizes and agreement only: the machine's speed is not the script's to assert
+    script = runpy.run_path(str(SCRIPTS / "integrate_scaling.py"))
+    assert script["main"]((3, 6, 24), repeat=1) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [int(row.split()[0]) for row in rows] == [3, 6, 24]
+    dspec = script["DSPEC"]
+    for terms in (3, 24):
+        b = script["dense_target"](terms, seed=terms)
+        assert len(b.terms) == terms
+        solution = hs.integrate(dspec, b).solution
+        assert solution == hs.termwise_integral_oracle(dspec, b)
+        assert hs.derive(dspec.derivation, solution) == b
 
 
 @pytest.mark.parametrize("samples", ["0", "1"])

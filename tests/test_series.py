@@ -1,5 +1,6 @@
 """Series construction, valuation, arithmetic, and the precision quotient."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,11 @@ class TestMergeMatchesNormaliser:
             assert _validated(result) == result, name
 
 
+def _exponent_in(group, n):
+    """The integer ``n`` as an exponent of ``group``, order kept."""
+    return (n, -n) if group == hs.LEX2 else Fraction(n, 2) if group == hs.RATIONALS else n
+
+
 class TestMergePlacesAOneTermOperand:
     """A one-term operand against four terms at exponents -4, 0, 2, 6: below
     them, at the cursor, between two, on an inner one, at and past the last."""
@@ -237,20 +243,17 @@ class TestMergePlacesAOneTermOperand:
     def test_add_and_sub(self, space, at, cancel, one_cut, long_cut):
         field, group = space.field, space.group
 
-        def exponent(n):
-            return (n, -n) if group == hs.LEX2 else Fraction(n, 2) if group == hs.RATIONALS else n
-
         def cut(offset):
-            return INF if offset is None else OV(exponent(offset))
+            return INF if offset is None else OV(_exponent_in(group, offset))
 
-        long = space.series([(c, exponent(g)) for c, g in self.LONG], cut(long_cut))
+        long = space.series([(c, _exponent_in(group, g)) for c, g in self.LONG], cut(long_cut))
         shared = dict((g, c) for c, g in self.LONG).get(at)
         for op in ("add", "sub"):
             coeff = 4
             if cancel and shared is not None:
                 coeff = -shared if op == "add" else shared
             one_bound = cut(None if one_cut is None else at + one_cut)
-            one = space.series([(coeff, exponent(at))], one_bound)
+            one = space.series([(coeff, _exponent_in(group, at))], one_bound)
             assert len(one.terms) == 1
             for x, y in ((one, long), (long, one)):
                 got = getattr(x, op)(y)
@@ -258,6 +261,107 @@ class TestMergePlacesAOneTermOperand:
                 cutoff = min(x.truncation, y.truncation)
                 assert got == hs.make_series(field, group, list(x.terms) + ys, cutoff), (op, x, y)
                 assert _validated(got) == got
+
+
+class TestMergeAtEqualAndAdjacentLengths:
+    """Operands of equal length (1 and 4 terms) and of lengths one apart, in
+    both orders: the subtrahend is negated up front when it is not strictly
+    the shorter operand, and term by term as it is placed when it is."""
+
+    X = ((3, -4), (1, 0), (2, 2), (5, 6), (7, 9))
+    Y_EXPONENTS = (-4, 1, 2, 7, 9)  # shares -4, 2 and 9 with X
+
+    @pytest.mark.parametrize("space", MERGE_SPACES, ids=lambda s: f"{s.field.name}-{s.group.name}")
+    @pytest.mark.parametrize("lengths", [(1, 1), (4, 4), (4, 3), (4, 5)], ids=str)
+    @pytest.mark.parametrize("cancel", [False, True], ids=["keep", "cancel"])
+    @pytest.mark.parametrize("x_cut", [False, True], ids=["x-exact", "x-cut"])
+    @pytest.mark.parametrize("y_cut", [False, True], ids=["y-exact", "y-cut"])
+    def test_add_and_sub(self, space, lengths, cancel, x_cut, y_cut):
+        field, group = space.field, space.group
+        nx, ny = lengths
+        x_terms = self.X[:nx]
+        x_coeff = dict((g, c) for c, g in x_terms)
+
+        def build(pairs, cut):
+            # a cut just above the last exponent keeps every term
+            bound = OV(_exponent_in(group, pairs[-1][1] + 1)) if cut else INF
+            s = space.series([(c, _exponent_in(group, g)) for c, g in pairs], bound)
+            assert len(s.terms) == len(pairs)
+            return s
+
+        x = build(x_terms, x_cut)
+        for op in ("add", "sub"):
+            y_terms = []
+            for g in self.Y_EXPONENTS[:ny]:
+                shared = x_coeff.get(g)
+                if shared is None:
+                    y_terms.append((6, g))
+                else:
+                    y_terms.append((4 if not cancel else shared if op == "sub" else -shared, g))
+            y = build(y_terms, y_cut)
+            for a, b in ((x, y), (y, x)):
+                got = getattr(a, op)(b)
+                bs = [(field.neg(c), g) for c, g in b.terms] if op == "sub" else list(b.terms)
+                cutoff = min(a.truncation, b.truncation)
+                assert got == hs.make_series(field, group, list(a.terms) + bs, cutoff), (op, a, b)
+                assert _validated(got) == got
+
+
+class TestTotalMatchesFold:
+    """``SeriesSpace.total`` joins parts whose terms ascend from part to part
+    and folds ``add`` over any others; both give the fold's sum."""
+
+    CASES = {
+        "ascending monomials": ([[(1, -3)], [(2, 0)], [(5, 1)], [(1, 4)]], [None] * 4),
+        "ascending multi-term": ([[(1, -3), (2, -1)], [(2, 0), (3, 2)], [(5, 5)]], [None] * 3),
+        "overlapping multi-term": ([[(1, -3), (2, 2)], [(2, 0), (3, 2)], [(5, -4)]], [None] * 3),
+        "descending monomials": ([[(1, 4)], [(2, 1)], [(3, -2)]], [None] * 3),
+        "cancel to zero": ([[(1, 1), (2, 3)], [(-1, 1)], [(-2, 3)]], [None] * 3),
+        "ascending, finite truncations": ([[(1, -3)], [(2, 0)], [(5, 1)]], [None, 4, 2]),
+        "truncation cuts a later part": ([[(1, -3)], [(2, 0)], [(5, 3)]], [1, None, None]),
+        "overlapping, finite truncations": ([[(1, 2)], [(2, 0), (1, 1)], [(5, -1)]], [7, 3, None]),
+        "empty parts with a truncation": ([[], [(2, 0)], [], [(5, 3)]], [None, None, 5, None]),
+        "empty list": ([], []),
+    }
+
+    @pytest.mark.parametrize("space", MERGE_SPACES, ids=lambda s: f"{s.field.name}-{s.group.name}")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_series_space(self, space, case):
+        pairs, cuts = self.CASES[case]
+        group = space.group
+        parts = [
+            space.series(
+                [(c, _exponent_in(group, g)) for c, g in p],
+                INF if cut is None else OV(_exponent_in(group, cut)),
+            )
+            for p, cut in zip(pairs, cuts)
+        ]
+        got = space.total(parts)
+        assert got == functools.reduce(space.add, parts, space.zero)
+        assert _validated(got) == got
+
+    @given(st.data())
+    def test_random_parts(self, data):
+        space = data.draw(st.sampled_from(MERGE_SPACES))
+        elements = _group_elements(space.group)
+        cutoffs = st.one_of(st.just(INF), st.just(INF), elements.map(OV))
+        pairs = st.lists(st.tuples(st.integers(-9, 9), elements), max_size=3)
+        parts = data.draw(st.lists(st.builds(space.series, pairs, cutoffs), max_size=6))
+        if data.draw(st.booleans()):  # often ascending: one term per part, in order
+            monomials = sorted({t for p in parts for t in p.terms}, key=lambda t: t.exponent)
+            parts = [space.series([t]) for t in dict((t.exponent, t) for t in monomials).values()]
+        got = space.total(parts)
+        assert got == functools.reduce(space.add, parts, space.zero)
+        assert _validated(got) == got
+
+    @pytest.mark.parametrize("ascending", [True, False], ids=["ascending", "fold"])
+    def test_part_over_another_space_is_refused(self, ascending):
+        # the descending pair sends the stray part through the fold
+        before = [QZ.monomial(1, 0)] if ascending else [QZ.monomial(1, 9), QZ.monomial(1, 0)]
+        other = hs.SeriesSpace(hs.PrimeField(7), hs.INTEGERS)
+        for stray in (other.monomial(1, 5), other.zero, hs.SeriesSpace(hs.QQ, hs.RATIONALS).zero):
+            with pytest.raises(ValueError, match="different fields or value groups"):
+                QZ.total(before + [stray])
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Correction engine: solve loop, failure modes, hypothesis audits, nests."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import hahnsolve as hs
 
-from .conftest import QZ, coefficients
+from .conftest import F5Z, QZ, coefficients
 
 OV = hs.OrderedValue
 INF = hs.INFINITY
@@ -126,6 +127,96 @@ class TestSolveLoop:
         assert result.exact
         assert spec.apply(result.solution) == b
         assert result.iterations == len(b.terms)
+
+
+class CountingGroup(hs.ValuedGroup):
+    """``inner`` with its calls of ``add`` and ``total`` counted."""
+
+    def __init__(self, inner):
+        self.inner, self.group = inner, inner.group
+        self.calls = {"add": 0, "total": 0}
+
+    @property
+    def zero(self):
+        return self.inner.zero
+
+    def add(self, a, b):
+        self.calls["add"] += 1
+        return self.inner.add(a, b)
+
+    def neg(self, a):
+        return self.inner.neg(a)
+
+    def valuation(self, a):
+        return self.inner.valuation(a)
+
+    def valuation_lower_bound(self, a):
+        return self.inner.valuation_lower_bound(a)
+
+    def total(self, parts):
+        self.calls["total"] += 1
+        return self.inner.total(parts)
+
+
+REVERSING = hs.parse_derivation(hs.QQ, hs.INTEGERS, "d:1=1,2=1;sigma:1=5,2=3")
+
+
+def _integration(derivation):
+    return hs.integration_instance(hs.DifferentialFieldSpec(hs.QQ, hs.INTEGERS, derivation))[:2]
+
+
+def _decomposition(selectors, space=QZ):
+    family = [hs.parse_subgroup(space.field, space.group, s) for s in selectors]
+    return hs.decomposition_instance(family, space)
+
+
+class TestSolveSumsOnce:
+    """The solver keeps no running sum: it calls its domain's ``total`` once
+    per returned result, on the trace's corrections, and never ``add``."""
+
+    # (solver instance, target, precision)
+    CASES = {
+        "ddt": (_integration(hs.ddt(hs.QQ, hs.INTEGERS)), "3*t^2 + t^5 + 2*t^7", INF),
+        "euler, to a precision": (
+            _integration(hs.euler(hs.QQ, hs.INTEGERS)), "t^1 + t^4 + t^9", OV(5)
+        ),
+        "reversing table": (_integration(REVERSING), "t^3 + t^5", INF),
+        "residue classes": (
+            _decomposition(["mod:3:0", "mod:3:1", "mod:3:2"]), "1 + t^1 + 2*t^2 + t^4", INF
+        ),
+        "span family": (
+            _decomposition(["span:{t^1 + t^2}", "span:{t^2}"]), "t^1 + 3*t^2", INF
+        ),
+        "GF(5) even/odd": (_decomposition(["even", "odd"], F5Z), "t^1 + 4*t^2 + O(6)", OV(6)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_total_and_no_add(self, case):
+        (spec, section), text, precision = self.CASES[case]
+        b = hs.parse_series(spec.codomain.field, spec.codomain.group, text)
+        counting = CountingGroup(spec.domain)
+        wrapped = hs.HomomorphismSpec(counting, spec.codomain, spec.apply)
+        result = hs.solve(wrapped, section, b, precision=precision)
+        assert counting.calls == {"add": 0, "total": 1}
+        assert result == hs.solve(spec, section, b, precision=precision)
+        corrections = [step.term for step in result.trace]
+        assert result.solution == functools.reduce(spec.domain.add, corrections, spec.domain.zero)
+
+    def test_a_refusal_sums_nothing(self):
+        spec, section = _integration(hs.ddt(hs.QQ, hs.INTEGERS))
+        counting = CountingGroup(spec.domain)
+        wrapped = hs.HomomorphismSpec(counting, spec.codomain, spec.apply)
+        with pytest.raises(hs.Obstruction):
+            hs.solve(wrapped, section, QZ.series([(2, 3), (1, -1)]))
+        assert counting.calls == {"add": 0, "total": 0}
+
+    def test_descending_corrections_take_the_fold(self):
+        dspec = hs.DifferentialFieldSpec(hs.QQ, hs.INTEGERS, REVERSING)
+        result = hs.integrate(dspec, QZ.series([(1, 3), (1, 5)]))
+        assert [str(step.term) for step in result.trace] == ["t^2", "t^1"]
+        assert [step.residual_value for step in result.trace] == [OV(5), INF]
+        assert result.solution == QZ.series([(1, 1), (1, 2)])
+        assert str(result.solution) == "t^1 + t^2"
 
 
 class TestTraceJson:
