@@ -243,10 +243,9 @@ def _merge(x: Series, y: Series, negate: bool) -> Series:
     exponents in the longer one (past the end or at the cursor, where a
     correction step lands, else by bisection), so the runs in between are
     copied as slices; only coefficients at shared exponents are added and
-    tested for zero.  A subtrahend strictly shorter than ``x`` is negated
-    term by term as placed; else its runs are copied, so it is negated first.
-    The tail after the last placed term is one slice, and the result is cut
-    at the smaller truncation, compared only when neither side is exact.
+    tested for zero.  A subtrahend is negated first.  The tail after the
+    last placed term is one slice, and the result is cut at the smaller
+    truncation, compared only when neither side is exact.
     """
     x._like(y)
     if not y.terms and (y.truncation.is_infinite or x.truncation <= y.truncation):
@@ -254,14 +253,11 @@ def _merge(x: Series, y: Series, negate: bool) -> Series:
     if not x.terms and (x.truncation.is_infinite or y.truncation <= x.truncation):
         return y.neg() if negate else y
     field = x.field
-    lazy = negate and len(y.terms) < len(x.terms)
-    ys = tuple(Term(field.neg(c), g) for c, g in y.terms) if negate and not lazy else y.terms
+    ys = tuple(Term(field.neg(c), g) for c, g in y.terms) if negate else y.terms
     short, long = (x.terms, ys) if len(x.terms) <= len(ys) else (ys, x.terms)
     out: list[Term] = []
     i = 0
     for term in short:
-        if lazy:
-            term = Term(field.neg(term.coefficient), term.exponent)
         g = term.exponent
         if g > long[-1].exponent:
             j = len(long)

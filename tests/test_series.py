@@ -265,8 +265,8 @@ class TestMergePlacesAOneTermOperand:
 
 class TestMergeAtEqualAndAdjacentLengths:
     """Operands of equal length (1 and 4 terms) and of lengths one apart, in
-    both orders: the subtrahend is negated up front when it is not strictly
-    the shorter operand, and term by term as it is placed when it is."""
+    both orders, with shared exponents that cancel and that survive, against
+    the normaliser."""
 
     X = ((3, -4), (1, 0), (2, 2), (5, 6), (7, 9))
     Y_EXPONENTS = (-4, 1, 2, 7, 9)  # shares -4, 2 and 9 with X
