@@ -83,13 +83,11 @@ from .pseudo_direct import (
     SpanSubgroup,
     SupportSubgroup,
     check_pseudo_direct_witness,
-    check_sum_value_bound,
     decompose,
     decompose_solve,
     decomposition_instance,
     min_valuation,
     parse_subgroup,
-    product_nest_intersect,
     pseudo_direct_section,
     sum_map,
 )

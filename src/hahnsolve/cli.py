@@ -42,7 +42,7 @@ from .pseudo_direct import (
     decompose_solve,
     parse_subgroup,
 )
-from .solver import trace_entries
+from .solver import DEFAULT_MAX_ITER, trace_entries
 from .valuegroups import OrderedValue, ValueGroup, group_by_name, ov_format, ov_parse
 
 
@@ -210,7 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     solving = argparse.ArgumentParser(add_help=False)
     solving.add_argument("--precision", help="exponent cutoff or inf")
     solving.add_argument(
-        "--max-iter", type=functools.partial(_integer, "--max-iter", 1), default=10000
+        "--max-iter",
+        type=functools.partial(_integer, "--max-iter", 1),
+        default=DEFAULT_MAX_ITER,
     )
 
     parser = argparse.ArgumentParser(

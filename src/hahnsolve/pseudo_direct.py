@@ -13,21 +13,22 @@ residual.  Two subgroup kinds are supported, both with decidable membership:
 * support-pattern subgroups (all series whose exponents satisfy a predicate),
   where assigning the leading term to the lowest-index matching subgroup is
   an exact section;
-* span subgroups (finite coefficient-spans of fixed exact series), where the
-  witness conditions are an exact linear system: every solution is a witness
-  and an inconsistent system proves that none exists, so a NotPseudoDirect
-  verdict exhibits a genuinely non-pseudo-direct family.
+* span subgroups (finite coefficient-spans of fixed exact series), each
+  reduced once to an echelon basis whose keys are the values it takes.  A
+  witness exists exactly when some subgroup takes the value ``v(a)``, and
+  then the lowest-index such subgroup takes the whole leading term, so a
+  NotPseudoDirect verdict exhibits a genuinely non-pseudo-direct family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import IndeterminateValuation, NotPseudoDirect, ParseError
 from .fields import CoefficientField, FieldElement, _split_top_level, parse_number
 from .parsing import parse_series
-from .reporting import CheckReport
 from .series import Series, SeriesSpace, Term, _trusted
 from .solver import (
     DEFAULT_MAX_ITER,
@@ -36,7 +37,7 @@ from .solver import (
     SolveResult,
     solve,
 )
-from .ultrametric import Ball, ValuedGroup, intersect_finite_nest
+from .ultrametric import ValuedGroup
 from .valuegroups import INFINITY, GroupElement, LexPair, OrderedValue, ValueGroup
 
 
@@ -72,6 +73,26 @@ class SpanSubgroup:
         matrix = [[u.coefficient(e) for u in self.generators] for e in exponents]
         rhs = [s.coefficient(e) for e in exponents]
         return _solve_linear(field, matrix, rhs) is not None
+
+    @cached_property
+    def basis(self) -> dict[GroupElement, Series]:
+        """The span's element of each value it takes, leading coefficient 1.
+
+        Generators are reduced in order against the rows kept so far, each
+        by its leading term only, and what is left is kept under its leading
+        exponent.  So the keys are exactly the values of the span's nonzero
+        elements.  Built on first use.
+        """
+        field = self.generators[0].field
+        rows: dict[GroupElement, Series] = {}
+        for r in self.generators:
+            while r.terms:
+                c, g = r.leading_term()
+                if g not in rows:
+                    rows[g] = r.scale(field.inv(c))
+                    break
+                r = r.sub(rows[g].scale(c))
+        return rows
 
 
 Subgroup = SupportSubgroup | SpanSubgroup
@@ -126,8 +147,7 @@ def sum_map(t: ProductElement) -> Series:
 
 @dataclass(frozen=True)
 class ProductGroup(ValuedGroup):
-    """Finite product of valued groups under the minimum valuation.  ``add``
-    skips exact-zero components; precision-only zeros still cut the truncation."""
+    """Finite product of valued groups under the minimum valuation."""
 
     spaces: tuple[ValuedGroup, ...]
 
@@ -141,10 +161,7 @@ class ProductGroup(ValuedGroup):
 
     def add(self, a: ProductElement, b: ProductElement) -> ProductElement:
         return ProductElement(
-            tuple(
-                x if _is_exact_zero(y) else y if _is_exact_zero(x) else sp.add(x, y)
-                for sp, x, y in zip(self.spaces, a.components, b.components)
-            )
+            tuple(sp.add(x, y) for sp, x, y in zip(self.spaces, a.components, b.components))
         )
 
     def neg(self, a: ProductElement) -> ProductElement:
@@ -182,11 +199,11 @@ def check_pseudo_direct_witness(a: Series, t: ProductElement) -> bool:
 def pseudo_direct_section(subgroups: Sequence[Subgroup], a: Series) -> ProductElement:
     """A witness tuple for nonzero ``a``, or ``NotPseudoDirect``.
 
-    Support-pattern subgroups: the leading term goes to the lowest-index
-    subgroup whose pattern accepts its exponent (any witness is acceptable;
-    the fixed tie-break keeps runs deterministic).  Span subgroups: solve the
-    witness conditions as one exact linear system, free unknowns set to
-    zero; an inconsistent system is a proof that no witness exists.
+    The leading term goes to the lowest-index subgroup with an element of
+    value ``v(a)`` (any witness is acceptable; the fixed tie-break keeps runs
+    deterministic): for a support pattern, the monomial itself; for a span,
+    its basis row at ``v(a)`` times the leading coefficient.  When no
+    subgroup takes ``v(a)`` no witness exists, so the refusal is a proof.
     """
     return _section_for(subgroups)(subgroups, a)
 
@@ -202,14 +219,20 @@ def _section_for(subgroups: Sequence[Subgroup]):
     raise ParseError("mixed support-pattern and span subgroups are not supported")
 
 
+def _one_component(n: int, i: int, a: Series, part: Series) -> ProductElement:
+    """``n`` exact zeros of ``a``'s space with ``part`` in place ``i``."""
+    components = [_trusted(a.field, a.group, (), INFINITY)] * n
+    components[i] = part
+    return ProductElement(tuple(components))
+
+
 def _support_section(subgroups: Sequence[SupportSubgroup], a: Series) -> ProductElement:
     c, g = a.leading_term()
     for i, sub in enumerate(subgroups):
         if sub.pattern(g):
-            components = [SeriesSpace(a.field, a.group).zero] * len(subgroups)
             # a leading coefficient is nonzero, so the monomial is a series as is
-            components[i] = _trusted(a.field, a.group, (Term(c, g),), INFINITY)
-            return ProductElement(tuple(components))
+            monomial = _trusted(a.field, a.group, (Term(c, g),), INFINITY)
+            return _one_component(len(subgroups), i, a, monomial)
     raise NotPseudoDirect(
         f"leading exponent {a.group.format(g)} matches no subgroup pattern"
     )
@@ -218,28 +241,15 @@ def _support_section(subgroups: Sequence[SupportSubgroup], a: Series) -> Product
 def _span_section(subgroups: Sequence[SpanSubgroup], a: Series) -> ProductElement:
     if not a.is_exact:
         raise ParseError("span decomposition needs an exact target")
-    field = a.field
     lead, va = a.leading_term()
-    columns = [(i, u) for i, sub in enumerate(subgroups) for u in sub.generators]
-    # A tuple is a witness exactly when every component vanishes below v(a)
-    # and the components' coefficients at v(a) add up to a's leading one:
-    # one row per subgroup and generator exponent below v(a), one row at v(a).
-    below = dict.fromkeys((i, e) for i, u in columns for e in u.support if e < va)
-    matrix = [
-        [u.coefficient(e) if k == i else field.zero for k, u in columns] for i, e in below
-    ]
-    matrix.append([u.coefficient(va) for _, u in columns])
-    rhs = [field.zero] * len(below) + [lead]
-    coeffs = _solve_linear(field, matrix, rhs)
-    if coeffs is None:
-        raise NotPseudoDirect(
-            "no span combination is a witness: components of value >= "
-            f"{a.group.format(va)} cannot match the target's leading term"
-        )
-    parts = [SeriesSpace(field, a.group).zero] * len(subgroups)
-    for (i, u), x in zip(columns, coeffs):
-        parts[i] = parts[i].add(u.scale(x))
-    return ProductElement(tuple(parts))
+    for i, sub in enumerate(subgroups):
+        row = sub.basis.get(va)
+        if row is not None:
+            return _one_component(len(subgroups), i, a, row.scale(lead))
+    raise NotPseudoDirect(
+        "no span combination is a witness: components of value >= "
+        f"{a.group.format(va)} cannot match the target's leading term"
+    )
 
 
 # unused; perfbench/tracer.py still wraps it by name (GRID)
@@ -338,34 +348,6 @@ def decompose(
 ) -> ProductElement:
     """Components summing to ``a`` (exactly, or to ``precision``)."""
     return decompose_solve(subgroups, a, precision, max_iter).solution
-
-
-def check_sum_value_bound(t_samples: Sequence[ProductElement]) -> CheckReport:
-    """The sum never undercuts the minimum component valuation."""
-    violations = []
-    for t in t_samples:
-        base = min_valuation(t)
-        total = sum_map(t)
-        value = total.valuation_lower_bound()
-        if not value >= base:
-            violations.append(f"v(sum)={value!r} below min component value {base!r}")
-    return CheckReport("sum_value_bound", len(t_samples), tuple(violations))
-
-
-def product_nest_intersect(
-    product: ProductGroup, nests: Sequence[Sequence[Ball]]
-) -> ProductElement:
-    """Componentwise nest intersection assembled into a tuple.
-
-    An empty ball list for a component is the vacuous intersection, read as
-    the whole space, and contributes that component's zero.
-    """
-    if len(nests) != len(product.spaces):
-        raise ValueError("one ball list per component required")
-    parts = []
-    for space, balls in zip(product.spaces, nests):
-        parts.append(intersect_finite_nest(tuple(balls)) if balls else space.zero)
-    return ProductElement(tuple(parts))
 
 
 # -- pattern selector strings (CLI / config surface) -----------------------

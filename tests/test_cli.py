@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from hahnsolve.cli import build_parser, main
+from hahnsolve.solver import DEFAULT_MAX_ITER
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -25,6 +26,14 @@ GOLDEN_CASES = {
     "decompose_even_odd.txt": ["decompose", "--parts", "even,odd", "t^2 + t^3 + t^6"],
     "decompose_even_odd_json.json": [
         "decompose", "--parts", "even,odd", "--output", "json", "t^2 + t^3 + t^6",
+    ],
+    "decompose_span_json.json": [
+        "decompose",
+        "--parts",
+        "span:{1 + t^1; t^1 + t^2},span:{t^1 + -1*t^3},span:{t^2; 2*t^3}",
+        "--output",
+        "json",
+        "2 + 3*t^1 + t^2 + 5*t^3",
     ],
     "check_euler.txt": ["check", "--instance", "euler", "--samples", "50", "--seed", "7"],
     "check_euler_json.json": [
@@ -506,3 +515,7 @@ class TestSharedOptions:
             "max_iter": 7,
             "output": "json",
         }
+
+    @pytest.mark.parametrize("command", ["integrate", "decompose"])
+    def test_the_default_budget_is_the_library_one(self, command):
+        assert build_parser().parse_args(MINIMAL_ARGV[command]).max_iter == DEFAULT_MAX_ITER

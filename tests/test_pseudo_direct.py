@@ -186,16 +186,6 @@ class TestSumAndProduct:
         ]
         assert hs.check_ultrametric(product, pairs).ok
 
-    def test_sum_never_undercuts_the_minimum(self):
-        samples = [
-            tup(QZ.monomial(1, 2), QZ.monomial(-1, 2)),
-            tup(QZ.series([(1, 0), (1, 1)]), QZ.monomial(-1, 0)),
-            tup(QZ.series([(1, 1)], OV(4)), QZ.monomial(2, 0)),
-        ]
-        report = hs.check_sum_value_bound(samples)
-        assert report.ok
-        assert report.checked == 3
-
 
 class TestWitnessChecker:
     def test_assigned_leading_term_is_a_witness(self):
@@ -393,8 +383,9 @@ class TestSpanSubgroups:
 
     def test_span_section_scales_without_normalising(self, monkeypatch):
         # Three spans with five generators, the target a combination of all
-        # of them: every correction step scales each generator by its
-        # solved coefficient.  Scaling keeps the term order, so none of
+        # of them: each span's basis scales its rows as it is built, and
+        # every correction step scales one basis row by the residual's
+        # leading coefficient.  Scaling keeps the term order, so none of
         # that may re-normalise.
         gens = [
             QZ.series([(1, 0), (2, 2)]),
@@ -434,6 +425,12 @@ class TestSpanSubgroups:
         assert hs.sum_map(parts) == a
         assert scales >= len(gens)
         assert normalised == 0
+
+    def test_lowest_index_wins_ties(self):
+        # both spans take the value 1: the first takes the whole leading term
+        line = hs.parse_subgroup(hs.QQ, hs.INTEGERS, "span:{t^1}")
+        t = hs.pseudo_direct_section([line, line], QZ.monomial(3, 1))
+        assert t == tup(QZ.monomial(3, 1), QZ.zero)
 
     def test_span_needs_exact_target(self):
         sub = hs.SpanSubgroup("line", (QZ.monomial(1, 1),))
@@ -493,21 +490,41 @@ class TestSpanRefusalIsAProof:
         assert 0 < refusals < 100
 
 
-class TestNestAssembly:
-    def test_componentwise_intersection(self):
-        product = hs.ProductGroup((QZ, QZ))
-        small = QZ.series([(1, 2), (1, 5)])
-        nests = [
-            [hs.Ball(QZ, QZ.monomial(1, 2), OV(3)), hs.Ball(QZ, small, OV(4))],
-            [],
-        ]
-        t = hs.product_nest_intersect(product, nests)
-        assert t == tup(small, QZ.zero)
+class TestSpanBasis:
+    """Each span's echelon basis against every coefficient vector."""
 
-    def test_one_list_per_component(self):
-        product = hs.ProductGroup((QZ, QZ))
-        with pytest.raises(ValueError):
-            hs.product_nest_intersect(product, [[]])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_keys_are_the_values_the_span_takes(self, p):
+        rng = random.Random(p)
+        space = hs.SeriesSpace(hs.PrimeField(p), hs.INTEGERS)
+        for _ in range(60):
+            # 1-3 generators supported on [0, 4), zero ones included
+            gens = tuple(
+                space.series([(rng.randrange(p), e) for e in range(4) if rng.random() < 0.6])
+                for _ in range(rng.randint(1, 3))
+            )
+            if not any(u.terms for u in gens):
+                continue
+            sub = hs.SpanSubgroup("s", gens)
+            elements = (
+                hs.sum_map(tup(*(u.scale(x) for u, x in zip(gens, xs))))
+                for xs in product(range(p), repeat=len(gens))
+            )
+            values = {s.valuation() for s in elements if s.terms}
+            assert {OV(g) for g in sub.basis} == values, gens
+            for g, row in sub.basis.items():
+                assert row.leading_term() == (1, g) and row.valuation() == OV(g)
+                assert sub.contains_series(row)
+
+    def test_a_second_solve_reuses_the_basis(self):
+        a1 = hs.parse_subgroup(hs.QQ, hs.INTEGERS, "span:{1 + t^1; t^1 + t^2}")
+        a2 = hs.parse_subgroup(hs.QQ, hs.INTEGERS, "span:{t^2}")
+        a = hs.parse_series(hs.QQ, hs.INTEGERS, "2 + 3*t^1 + t^2")
+        assert "basis" not in vars(a1)
+        first = hs.decompose_solve([a1, a2], a)
+        basis = vars(a1)["basis"]
+        assert hs.decompose_solve([a1, a2], a) == first
+        assert a1.basis is basis
 
 
 class TestParseSubgroup:
