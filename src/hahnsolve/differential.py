@@ -87,8 +87,9 @@ def _power_rule(
     """``c t^g -> (c g) t^{g - step}``; step 0 takes identity maps, no arithmetic."""
     one = _unit_for(group)
     if step:
-        shift, unshift = (lambda g: g - one), (lambda g: g + one)
-        map_truncation = lambda t: OrderedValue(t.finite - one)
+        add, minus_one = group.add, group.neg(one)
+        shift, unshift = (lambda g: add(g, minus_one)), (lambda g: add(g, one))
+        map_truncation = lambda t: OrderedValue(add(t.finite, minus_one))
     else:
         shift = unshift = map_truncation = lambda x: x
 

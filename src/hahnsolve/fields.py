@@ -1,4 +1,10 @@
-"""Exact coefficient fields (rationals, prime fields) and the shared text readers."""
+"""Exact coefficient fields (rationals, prime fields) and the shared text readers.
+
+Rationals are ``fractions.Fraction`` values in lowest terms with a positive
+denominator, built by one exact kernel below: ``RationalField`` and the
+``rat`` value group do their arithmetic on numerator and denominator through
+it, not through ``Fraction``'s operators.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,7 @@ import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 from .errors import ParseError
@@ -50,6 +57,85 @@ def _split_top_level(text: str, sep: str) -> list[str]:
         raise ParseError(f"unbalanced brackets in {text!r}")
     parts.append(text[start:])
     return parts
+
+
+# -- the exact rational kernel ---------------------------------------------
+# Each function reads its operands' numerator and denominator, applies the gcd
+# rules ``Fraction`` itself uses (Knuth, TAOCP 4.5.1), and builds the result
+# in lowest terms from ``Fraction``'s two slots, so nothing is normalised
+# twice and no operator dispatch or ABC check runs.  Operands are ``Fraction``
+# or ``int``; every result is a ``Fraction``.
+
+_new = object.__new__
+
+
+def _q(n: int, d: int) -> Fraction:
+    """The ``Fraction`` n/d for coprime ints n and d > 0; nothing is checked."""
+    q = _new(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _q_of(x) -> Fraction:
+    """``x`` as a ``Fraction``: itself, an int's exact image, else ``Fraction(x)``."""
+    t = type(x)
+    if t is Fraction:
+        return x
+    if t is int:
+        return _q(x, 1)
+    return Fraction(x)
+
+
+def _q_add(a, b) -> Fraction:
+    if type(a) is not Fraction or type(b) is not Fraction:
+        a, b = _q_of(a), _q_of(b)
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g = gcd(da, db)
+    if g == 1:
+        return _q(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _q(t, s * db)
+    return _q(t // g2, s * (db // g2))
+
+
+def _q_mul(a, b) -> Fraction:
+    if type(a) is not Fraction or type(b) is not Fraction:
+        a, b = _q_of(a), _q_of(b)
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _q(na * nb, da * db)
+
+
+def _q_neg(a) -> Fraction:
+    if type(a) is not Fraction:
+        a = _q_of(a)
+    return _q(-a._numerator, a._denominator)
+
+
+def _q_inv(a) -> Fraction:
+    if type(a) is not Fraction:
+        a = _q_of(a)
+    n, d = a._numerator, a._denominator
+    if not n:
+        raise ZeroDivisionError("inverse of zero")
+    return _q(d, n) if n > 0 else _q(-d, -n)
+
+
+_Q_ZERO = _q(0, 1)
+_Q_ONE = _q(1, 1)
 
 
 class CoefficientField(ABC):
@@ -108,35 +194,36 @@ class CoefficientField(ABC):
 
 @dataclass(frozen=True, repr=False)
 class RationalField(CoefficientField):
+    """QQ: elements are ``Fraction``s built by the rational kernel above;
+    ``sub``, ``div`` and ``is_zero`` are the inherited ones."""
+
     name = "rationals"
 
     @property
     def zero(self):
-        return Fraction(0)
+        return _Q_ZERO
 
     @property
     def one(self):
-        return Fraction(1)
+        return _Q_ONE
 
     def add(self, a, b):
-        return a + b
+        return _q_add(a, b)
 
     def mul(self, a, b):
-        return a * b
+        return _q_mul(a, b)
 
     def neg(self, a):
-        return -a
+        return _q_neg(a)
 
     def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _q_inv(a)
 
     def format(self, a):
         return str(a)
 
     def coerce(self, n):
-        return n if isinstance(n, Fraction) else Fraction(n)
+        return _q_of(n)
 
 
 # Miller-Rabin to the bases _WITNESSES decides primality exactly below

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any
 
 from .errors import ParseError
-from .fields import _split_top_level, parse_number
+from .fields import _Q_ZERO, _q_add, _q_neg, _q_of, _split_top_level, parse_number
 
 GroupElement = Any
 
@@ -90,24 +89,26 @@ class IntegerGroup(ValueGroup):
 
 @dataclass(frozen=True, repr=False)
 class RationalGroup(ValueGroup):
+    """Exponents are ``Fraction``s; sums and negatives come from the fields
+    module's rational kernel, as QQ's do."""
+
     name = "rat"
 
     @property
     def zero(self):
-        return Fraction(0)
+        return _Q_ZERO
 
     def add(self, a, b):
-        return a + b
+        return _q_add(a, b)
 
     def neg(self, a):
-        return -a
+        return _q_neg(a)
 
     def compare(self, a, b):
         return _cmp(a, b)
 
     def parse(self, text):
-        n = parse_number(text, "rational exponent")
-        return n if isinstance(n, Fraction) else Fraction(n)
+        return _q_of(parse_number(text, "rational exponent"))
 
     def format(self, a):
         return str(a)

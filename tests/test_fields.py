@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -30,6 +31,60 @@ class TestRationalField:
             hs.QQ.parse("3/0")
         with pytest.raises(hs.ParseError):
             hs.QQ.parse("pi")
+
+
+# small, and beyond 2**64 either sign; a Fraction operand is built from two
+_INTEGERS = st.integers(-6, 6) | st.integers(2**64, 2**80) | st.integers(-(2**80), -(2**64))
+_OPERANDS = _INTEGERS | st.builds(Fraction, _INTEGERS, _INTEGERS.filter(bool))
+
+
+def _canonical(r) -> bool:
+    return type(r) is Fraction and r.denominator > 0 and gcd(r.numerator, r.denominator) == 1
+
+
+class TestRationalKernel:
+    """QQ and the ``rat`` group against ``Fraction``'s own operators."""
+
+    @given(_OPERANDS, _OPERANDS)
+    def test_field_matches_fraction_operators(self, a, b):
+        f = hs.QQ
+        got = {
+            "add": (f.add(a, b), a + b),
+            "sub": (f.sub(a, b), a - b),
+            "mul": (f.mul(a, b), a * b),
+            "neg": (f.neg(a), -a),
+            "coerce": (f.coerce(a), Fraction(a)),
+        }
+        if b:
+            got["inv"] = (f.inv(b), 1 / Fraction(b))
+            got["div"] = (f.div(a, b), Fraction(a) / b)
+        for name, (result, expected) in got.items():
+            assert result == expected and _canonical(result), name
+        assert f.is_zero(a) is (a == 0)
+
+    @given(_OPERANDS, _OPERANDS)
+    def test_group_matches_fraction_operators(self, a, b):
+        g = hs.RATIONALS
+        for result, expected in ((g.add(a, b), a + b), (g.neg(a), -a), (g.sub(a, b), a - b)):
+            assert result == expected and _canonical(result)
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_inverse_of_zero_is_refused(self, zero):
+        with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+            hs.QQ.inv(zero)
+        with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+            hs.QQ.div(1, zero)
+
+    def test_constants_are_shared(self):
+        assert hs.QQ.zero is hs.QQ.zero is hs.RATIONALS.zero
+        assert hs.QQ.one is hs.QQ.one
+        assert (hs.QQ.zero, hs.QQ.one) == (0, 1)
+        assert _canonical(hs.QQ.zero) and _canonical(hs.QQ.one)
+
+    @pytest.mark.parametrize("text", ["3", "-3/6", "0"])
+    def test_group_parses_to_a_fraction(self, text):
+        value = hs.RATIONALS.parse(text)
+        assert value == Fraction(text) and _canonical(value)
 
 
 class TestPrimeField:

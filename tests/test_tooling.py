@@ -6,31 +6,54 @@ break ``perfbench/run.py --trace 1`` unseen.  The tracer is loaded from its
 file without writing bytecode next to it.  The README's Layout block must
 name every module of the package, no more and no fewer, and no module may
 import at its top level a name it never uses.  A function imports a sibling
-module only where an import cycle forces it.
+module only where an import cycle forces it.  The rational kernel in
+``fields.py`` builds ``Fraction``s from their two slots; that one interpreter
+assumption is pinned here, and no other module may touch the slots.
 """
 
 import ast
 import importlib.util
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import hahnsolve  # noqa: F401  (the tracer resolves targets in sys.modules)
+from hahnsolve import fields
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def test_every_named_target_resolves(monkeypatch):
+def _load_tracer(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracer_readonly", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_named_target_resolves(monkeypatch):
+    tracer = _load_tracer(monkeypatch)
     targets = [t for group in tracer.COUNT_ONLY.values() for t in group]
     targets += [*tracer.EXTRA_SPANS, tracer.GRID, *tracer._MEASURES]
     assert "pseudo_direct:_grid" in targets
     for target in targets:
         assert callable(tracer._resolve(target)[2]), target
+
+
+def test_every_rational_field_operation_is_counted(monkeypatch):
+    """An override of any of these would leave ``fields.op_calls`` or
+    ``fields.is_zero_calls`` blind to the calls it takes over."""
+    tracer = _load_tracer(monkeypatch)
+    counted = {
+        t for name, group in tracer.COUNT_ONLY.items() if name.startswith("fields.") for t in group
+    }
+    for op in ("add", "mul", "neg", "inv", "sub", "div", "is_zero"):
+        owner = next(c for c in fields.RationalField.__mro__ if op in vars(c))
+        assert f"fields:{owner.__name__}.{op}" in counted, op
 
 
 def test_readme_layout_names_every_module():
@@ -103,3 +126,62 @@ def test_the_function_import_finder_sees_nested_ones():
         "class K:\n    def g(self):\n        import os\n        from . import b\n"
     )
     assert _sibling_imports_in_functions(source, "m") == ["m.f -> a", "m.K.g -> b"]
+
+
+def _is_object_new(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "__new__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    )
+
+
+def _slot_access(source: str) -> list[str]:
+    """``object.__new__(Fraction)`` calls, directly or through a name bound to
+    ``object.__new__``, and reads or writes of ``Fraction``'s slots, by line."""
+    tree = ast.parse(source)
+    aliases = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _is_object_new(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("_numerator", "_denominator"):
+            found.append(f"{node.lineno}:{node.attr}")
+        elif (
+            isinstance(node, ast.Call)
+            and (_is_object_new(node.func) or getattr(node.func, "id", None) in aliases)
+            and node.args[:1]
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "Fraction"
+        ):
+            found.append(f"{node.lineno}:new")
+    return sorted(found)
+
+
+def test_only_the_kernel_touches_fraction_slots():
+    modules = sorted((ROOT / "src" / "hahnsolve").glob("*.py"))
+    touching = {m.name for m in modules if _slot_access(m.read_text())}
+    assert touching == {"fields.py"}
+
+
+def test_the_slot_access_finder_sees_each_form():
+    source = (
+        "new = object.__new__\nq = new(Fraction)\nq._numerator = 1\nx = q.numerator\n"
+        "s = object.__new__(Series)\nr = object.__new__(Fraction)\n"
+    )
+    assert _slot_access(source) == ["2:new", "3:_numerator", "6:new"]
+
+
+@pytest.mark.parametrize(
+    "n, d", [(0, 1), (1, 1), (-3, 4), (7, 2), (2**64 + 1, 3), (-(2**80), 2**70 + 1)]
+)
+def test_a_kernel_fraction_is_a_fraction(n, d):
+    assert {"_numerator", "_denominator"} <= set(Fraction.__slots__)
+    built, reference = fields._q(n, d), Fraction(n, d)
+    assert type(built) is Fraction and built == reference
+    assert [f(built) for f in (hash, repr, str)] == [f(reference) for f in (hash, repr, str)]
