@@ -84,7 +84,9 @@ def _unit_for(group: ValueGroup) -> GroupElement:
 def _power_rule(
     name: str, field: CoefficientField, group: ValueGroup, step: int
 ) -> TermwiseDerivation:
-    """``c t^g -> (c g) t^{g - step}``; step 0 takes identity maps, no arithmetic."""
+    """``c t^g -> (c g) t^{g - step}``; step 0 takes identity maps, no arithmetic.
+    A preimage whose scale has no image in the field (over GF(p), one whose
+    denominator p divides) is not admissible, as one whose scale is zero."""
     one = _unit_for(group)
     if step:
         add, minus_one = group.add, group.neg(one)
@@ -95,7 +97,10 @@ def _power_rule(
 
     def shift_inverse(g):
         g2 = unshift(g)
-        return g2 if not field.is_zero(field.coerce(g2)) else None
+        try:
+            return g2 if not field.is_zero(field.coerce(g2)) else None
+        except ParseError:
+            return None
 
     return TermwiseDerivation(
         name, field, group, field.coerce, shift, shift_inverse, map_truncation, True
@@ -182,15 +187,20 @@ class DifferentialFieldSpec:
 
 def derive(derivation: TermwiseDerivation, s: Series) -> Series:
     """Apply the derivation to every term; precision carried conservatively.
-    An ``increasing`` shift keeps the term order, so zero products are dropped
-    and nothing is cut: no kept image reaches the mapped bound."""
+    An ``increasing`` shift keeps the term order, so the kept terms are built
+    in one pass that drops zero products, and nothing is cut: no kept image
+    reaches the mapped bound."""
     field, scale, shift = s.field, derivation.scale, derivation.shift
-    products = (Term(field.mul(c, scale(g)), shift(g)) for c, g in s.terms)
     truncation = s.truncation if s.is_exact else derivation.map_truncation(s.truncation)
     if not derivation.increasing:
+        products = [(field.mul(c, scale(g)), shift(g)) for c, g in s.terms]
         return make_series(field, s.group, products, truncation)
-    kept = tuple(t for t in products if not field.is_zero(t.coefficient))
-    return _trusted(field, s.group, kept, truncation)
+    kept = [
+        Term(p, shift(g))
+        for c, g in s.terms
+        if not field.is_zero(p := field.mul(c, scale(g)))
+    ]
+    return _trusted(field, s.group, tuple(kept), truncation)
 
 
 def _outside_subset(dspec: DifferentialFieldSpec) -> Callable[[GroupElement], bool]:

@@ -3,7 +3,9 @@
 Everything takes an explicit ``random.Random`` so runs are reproducible from
 a seed; nothing touches global random state.  Exponent windows are inclusive
 integer ranges, stretched appropriately for rational and lexicographic value
-groups.
+groups.  Rational exponents for a series over GF(p) get only denominators
+prime to p, so each has an image in the field, as the power rule's
+``d(g) = g`` needs; over QQ and GF(p) for p >= 5 no denominator is left out.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Collection
 
-from .fields import CoefficientField, PrimeField
+from .fields import QQ, CoefficientField, PrimeField
 from .series import Series, SeriesSpace
 from .ultrametric import Ball
 from .valuegroups import (
@@ -45,32 +47,49 @@ def random_coefficient(rng: random.Random, field: CoefficientField, nonzero: boo
             return c
 
 
+def _denominator(rng: random.Random, field: CoefficientField, choices: list[int]) -> int:
+    """One of ``choices``, leaving out the multiples of p over GF(p)."""
+    if isinstance(field, PrimeField):
+        choices = [d for d in choices if d % field.p]
+    return rng.choice(choices)
+
+
 def random_exponent(
-    rng: random.Random, group: ValueGroup, lo: int = -10, hi: int = 10
+    rng: random.Random,
+    group: ValueGroup,
+    lo: int = -10,
+    hi: int = 10,
+    field: CoefficientField = QQ,
 ) -> GroupElement:
+    """An exponent in the window, for a series over ``field``."""
     if group == INTEGERS:
         return rng.randint(lo, hi)
     if group == RATIONALS:
-        den = rng.choice([1, 2, 3, 4])
+        den = _denominator(rng, field, [1, 2, 3, 4])
         return Fraction(rng.randint(lo * den, hi * den), den)
     if isinstance(group, LexPair):
         return (
-            random_exponent(rng, group.left, lo, hi),
-            random_exponent(rng, group.right, lo, hi),
+            random_exponent(rng, group.left, lo, hi, field),
+            random_exponent(rng, group.right, lo, hi, field),
         )
     raise ValueError(f"no exponent sampler for group {group!r}")
 
 
-def random_positive(rng: random.Random, group: ValueGroup) -> GroupElement:
+def random_positive(
+    rng: random.Random, group: ValueGroup, field: CoefficientField = QQ
+) -> GroupElement:
     """A strictly positive group element, for growing radii and offsets."""
     if group == INTEGERS:
         return rng.randint(1, 3)
     if group == RATIONALS:
-        return Fraction(rng.randint(1, 6), rng.choice([1, 2, 3]))
+        return Fraction(rng.randint(1, 6), _denominator(rng, field, [1, 2, 3]))
     if isinstance(group, LexPair):
         if rng.random() < 0.3:
-            return (random_positive(rng, group.left), random_exponent(rng, group.right, -2, 2))
-        return (group.left.zero, random_positive(rng, group.right))
+            return (
+                random_positive(rng, group.left, field),
+                random_exponent(rng, group.right, -2, 2, field),
+            )
+        return (group.left.zero, random_positive(rng, group.right, field))
     raise ValueError(f"no positive sampler for group {group!r}")
 
 
@@ -90,7 +109,7 @@ def random_series(
         count = rng.randint(1 if nonzero else 0, max_terms)
         terms = []
         for _ in range(count):
-            g = random_exponent(rng, space.group, lo, hi)
+            g = random_exponent(rng, space.group, lo, hi, space.field)
             if banned(g):
                 continue
             terms.append((random_coefficient(rng, space.field, nonzero=True), g))
@@ -102,7 +121,8 @@ def random_series(
 
 def random_ball(rng: random.Random, space: SeriesSpace) -> Ball:
     center = random_series(rng, space, -5, 5, 5)
-    return Ball(space, center, OrderedValue(random_exponent(rng, space.group, -5, 5)))
+    radius = random_exponent(rng, space.group, -5, 5, space.field)
+    return Ball(space, center, OrderedValue(radius))
 
 
 def random_nest(
@@ -119,8 +139,8 @@ def random_nest(
     if depth < 1:
         raise ValueError("a nest needs at least one ball")
     banned = _forbidden(forbid)
-    group = space.group
-    radius = random_exponent(rng, group, -5, 5)
+    group, field = space.group, space.field
+    radius = random_exponent(rng, group, -5, 5, field)
     center = random_series(rng, space, -5, 5, 4, forbid=forbid)
     balls = [Ball(space, center, OrderedValue(radius))]
     for _ in range(depth - 1):
@@ -128,11 +148,11 @@ def random_nest(
         for _ in range(rng.randint(0, 4)):
             g = radius
             for _ in range(rng.randint(0, 3)):
-                g = group.add(g, random_positive(rng, group))
+                g = group.add(g, random_positive(rng, group, field))
             if banned(g):
                 continue
-            delta_terms.append((random_coefficient(rng, space.field, nonzero=True), g))
+            delta_terms.append((random_coefficient(rng, field, nonzero=True), g))
         center = center.add(space.series(delta_terms))
-        radius = group.add(radius, random_positive(rng, group))
+        radius = group.add(radius, random_positive(rng, group, field))
         balls.append(Ball(space, center, OrderedValue(radius)))
     return balls

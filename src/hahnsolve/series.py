@@ -239,13 +239,17 @@ def _merge(x: Series, y: Series, negate: bool) -> Series:
 
     An empty operand whose truncation is not below the other's is the
     identity, and the other operand (negated for ``0 - y``) is returned as is.
-    Otherwise the merge walks the shorter operand and places each of its
-    exponents in the longer one (past the end or at the cursor, where a
-    correction step lands, else by bisection), so the runs in between are
-    copied as slices; only coefficients at shared exponents are added and
-    tested for zero.  A subtrahend is negated first.  The tail after the
-    last placed term is one slice, and the result is cut at the smaller
-    truncation, compared only when neither side is exact.
+    A one-term ``y`` at the leading exponent of ``x``, the shape of every
+    correction step's image, is added at the head: one exponent comparison,
+    one coefficient sum (of the negated coefficient for a subtrahend) and
+    its zero test, and the rest of ``x`` as one slice.  Otherwise the merge
+    walks the shorter operand and places each of its exponents in the
+    longer one (past the end or at the cursor, else by bisection), so the
+    runs in between are copied as slices; only coefficients at shared
+    exponents are added and tested for zero.  A subtrahend is negated
+    first.  The tail after the last placed term is one slice.  Either way
+    the result is cut at the smaller truncation, compared only when neither
+    side is exact.
     """
     x._like(y)
     if not y.terms and (y.truncation.is_infinite or x.truncation <= y.truncation):
@@ -253,8 +257,23 @@ def _merge(x: Series, y: Series, negate: bool) -> Series:
     if not x.terms and (x.truncation.is_infinite or y.truncation <= x.truncation):
         return y.neg() if negate else y
     field = x.field
-    ys = tuple(Term(field.neg(c), g) for c, g in y.terms) if negate else y.terms
-    short, long = (x.terms, ys) if len(x.terms) <= len(ys) else (ys, x.terms)
+    if len(y.terms) == 1 and x.terms and y.terms[0].exponent == x.terms[0].exponent:
+        (a, g), (b, _) = x.terms[0], y.terms[0]
+        c = field.add(a, field.neg(b) if negate else b)
+        terms = x.terms[1:] if field.is_zero(c) else (Term(c, g),) + x.terms[1:]
+    else:
+        terms = _walk(field, x.terms, y.terms, negate)
+    xt, yt = x.truncation, y.truncation
+    truncation = xt if yt.is_infinite else yt if xt.is_infinite else min(xt, yt)
+    return _trusted(field, x.group, _below(terms, truncation), truncation)
+
+
+def _walk(
+    field: CoefficientField, xs: tuple[Term, ...], ys: tuple[Term, ...], negate: bool
+) -> tuple[Term, ...]:
+    """The general case of ``_merge``: the sorted terms of ``x + y``."""
+    ys = tuple(Term(field.neg(c), g) for c, g in ys) if negate else ys
+    short, long = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
     out: list[Term] = []
     i = 0
     for term in short:
@@ -272,10 +291,7 @@ def _merge(x: Series, y: Series, negate: bool) -> Series:
         else:
             out.append(term)
         i = j
-    terms = tuple(out) + long[i:] if out else long[i:]
-    xt, yt = x.truncation, y.truncation
-    truncation = xt if yt.is_infinite else yt if xt.is_infinite else min(xt, yt)
-    return _trusted(field, x.group, _below(terms, truncation), truncation)
+    return tuple(out) + long[i:] if out else long[i:]
 
 
 @dataclass(frozen=True)

@@ -122,9 +122,10 @@ def solve(
     when the final residual is only known up to its own precision.  The
     solution is built once, as the domain's ``total`` of the corrections.
     """
+    codomain, apply, correct = spec.codomain, spec.apply, section.section
     residual = b
     trace: list[TraceStep] = []
-    value, determined = _value_or_bound(spec.codomain, residual)
+    value, determined = _value_or_bound(codomain, residual)
     while True:
         exact = determined and value.is_infinite
         if exact or value >= precision:
@@ -138,12 +139,12 @@ def solve(
         if len(trace) >= max_iter:
             raise IterationLimit(iterations=len(trace), residual_value=value)
         try:
-            s = section.section(residual)
+            s = correct(residual)
         except SectionFailure as e:
             e.residual = residual
             raise
-        new_residual = spec.codomain.sub(residual, spec.apply(s))
-        new_value, determined = _value_or_bound(spec.codomain, new_residual)
+        new_residual = codomain.sub(residual, apply(s))
+        new_value, determined = _value_or_bound(codomain, new_residual)
         if not new_value > value:
             raise NoProgress(
                 f"correction did not raise the residual value ({value!r} -> {new_value!r})"

@@ -450,10 +450,8 @@ class TestArgumentErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["check", "--instance", "euler", "--field", "prime:3", "--group", "rat", "--samples", "20"],
-            ["check", "--instance", "ddt", "--field", "prime:2", "--group", "rat", "--samples", "20"],
-            ["integrate", "--field", "prime:2", "--group", "rat", "t^1/2"],
             ["derive", "--field", "prime:3", "--group", "rat", "t^1/3"],
+            ["derive", "--field", "prime:2", "--group", "rat", "t^1/2"],
         ],
     )
     def test_exponent_without_image_in_prime_field_exits_two(self, argv):
@@ -465,8 +463,26 @@ class TestArgumentErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "has no image in gf(" in err
 
+    @pytest.mark.parametrize(
+        "p, target, code, reply",
+        [
+            ("2", "t^1/3", 3, "error: obstruction at exponent 1/3\n"),
+            ("3", "t^1/3", 3, "error: obstruction at exponent 1/3\n"),
+            ("2", "t^1/2", 3, "error: obstruction at exponent 1/2\n"),
+            ("5", "t^1/3", 0, "solution: 2*t^4/3\n"),
+        ],
+    )
+    def test_a_preimage_without_image_in_prime_field_is_an_obstruction(
+        self, p, target, code, reply
+    ):
+        # ddt's preimage of 1/3 is 4/3, and d(4/3) = 4/3 has no image in GF(3)
+        # and is zero in GF(2): both refuse at the exponent the user typed
+        got, out, err = run_cli(["integrate", "--field", f"prime:{p}", "--group", "rat", target])
+        assert got == code
+        assert (err if code else out.splitlines(keepends=True)[0]) == reply
+
     @pytest.mark.parametrize("instance", ["euler", "ddt"])
-    @pytest.mark.parametrize("p", ["5", "7"])
+    @pytest.mark.parametrize("p", ["2", "3", "5", "7"])
     def test_prime_field_with_rat_exponents_still_checks(self, instance, p):
         code, out, _ = run_cli(
             ["check", "--instance", instance, "--field", f"prime:{p}", "--group", "rat", "--samples", "20"]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import hahnsolve as hs
 from hahnsolve import differential
 
-from .conftest import QZ, F5Z, coefficients, exact_series
+from .conftest import QZ, F5Z, coefficients, exact_series, exponents
 
 OV = hs.OrderedValue
 INF = hs.INFINITY
@@ -277,6 +277,21 @@ class TestSection:
             hs.asymptotic_section(DDT5, F5Z.monomial(1, 4))
         assert excinfo.value.exponent == 4
 
+    @pytest.mark.parametrize("p, preimage", [(2, None), (3, None), (5, Fraction(4, 3))])
+    def test_a_preimage_whose_scale_has_no_image_is_refused(self, p, preimage):
+        # ddt's preimage of 1/3 is 4/3: zero in GF(2), no image in GF(3);
+        # either way the refusal names the exponent of the target
+        field = hs.PrimeField(p)
+        dspec = hs.DifferentialFieldSpec(field, hs.RATIONALS, hs.ddt(field, hs.RATIONALS))
+        assert dspec.derivation.shift_inverse(Fraction(1, 3)) == preimage
+        b = dspec.space.monomial(1, Fraction(1, 3))
+        if preimage is None:
+            with pytest.raises(hs.Obstruction) as excinfo:
+                hs.integrate(dspec, b)
+            assert excinfo.value.exponent == Fraction(1, 3)
+        else:
+            assert hs.integrate(dspec, b).solution == dspec.space.monomial(2, preimage)
+
 
 class TestIntegrate:
     def test_euler_two_terms(self):
@@ -367,6 +382,25 @@ class TestIntegrate:
         result = hs.integrate(EULER, b)
         assert result.exact
         assert result.solution == hs.termwise_integral_oracle(EULER, b)
+
+    @given(st.data())
+    def test_each_step_cancels_the_residuals_leading_term(self, data):
+        field = data.draw(st.sampled_from([hs.QQ, *map(hs.PrimeField, (2, 3, 7))]))
+        group = data.draw(st.sampled_from([hs.INTEGERS, hs.RATIONALS]))
+        name = data.draw(st.sampled_from(["ddt", "euler"]))
+        dspec = hs.DifferentialFieldSpec(field, group, hs.parse_derivation(field, group, name))
+        coefficient = coefficients() if field == hs.QQ else st.integers(1, field.p - 1)
+        pairs = data.draw(
+            st.lists(st.tuples(coefficient, exponents(-8, 8, group)), min_size=1, max_size=8)
+        )
+        solvable = lambda g: dspec.derivation.shift_inverse(g) is not None
+        b = dspec.space.series([(c, g) for c, g in pairs if solvable(g)])
+        result = hs.integrate(dspec, b)
+        values = [step.residual_value for step in result.trace]
+        assert values == ([OV(g) for g in b.support[1:]] + [INF] if b.terms else [])
+        oracle = hs.termwise_integral_oracle(dspec, b)
+        assert [step.term.terms for step in result.trace] == [(t,) for t in oracle.terms]
+        assert all(step.term.is_exact for step in result.trace)
 
 
 class TestCompatibilityChecks:

@@ -2,6 +2,7 @@
 counts and violation texts."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -173,3 +174,49 @@ def test_broken_order_takes_the_euler_subset():
     order = hs.build_instance("broken-order").section.contains
     assert [order(s) for s in series] == [euler(s) for s in series]
     assert [euler(s) for s in series] == [True, False, True, False, True, False, True]
+
+
+@pytest.mark.parametrize("name", ["euler", "ddt"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_rational_exponents_over_gf2_and_gf3_pass_every_check(name, p):
+    # the power rule's d(g) = g needs an image in GF(p), so the sampler draws
+    # no denominator that p divides
+    instance = hs.build_instance(name, hs.PrimeField(p), hs.RATIONALS)
+    for seed in range(30):
+        failing = [r.name for r in hs.run_instance_checks(instance, seed, 20) if not r.ok]
+        assert failing == [], seed
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rational_draws_over_gf_p_leave_out_multiples_of_p(p):
+    space = hs.SeriesSpace(hs.PrimeField(p), hs.RATIONALS)
+    rng = random.Random(p)
+    drawn = [hs.random_exponent(rng, hs.RATIONALS, field=space.field) for _ in range(200)]
+    drawn += [hs.random_positive(rng, hs.RATIONALS, space.field) for _ in range(200)]
+    for ball in hs.random_nest(rng, space, depth=20):
+        drawn += [ball.radius.finite, *ball.center.support]
+    assert all(g.denominator % p for g in drawn)
+    assert {g.denominator for g in drawn} >= {1, 4 if p == 3 else 3}
+
+
+@pytest.mark.parametrize(
+    "field, pairs",
+    [
+        (
+            hs.QQ,
+            [
+                (Fraction(3, 4), Fraction(-19, 2)),
+                (3, Fraction(-37, 4)),
+                (Fraction(-4, 5), Fraction(-13, 3)),
+                (6, 8),
+            ],
+        ),
+        (hs.PrimeField(5), [(4, Fraction(-19, 2)), (3, Fraction(1, 4)), (2, 5), (4, 6)]),
+    ],
+)
+def test_rational_draws_over_qq_and_gf5_are_pinned(field, pairs):
+    # denominators 1-4 are all prime to 5: these draws are the same as before
+    # the sampler learnt the field
+    space = hs.SeriesSpace(field, hs.RATIONALS)
+    s = hs.random_series(random.Random(4242), space, -10, 10, 6, nonzero=True)
+    assert s == space.series(pairs)

@@ -185,3 +185,41 @@ def test_a_kernel_fraction_is_a_fraction(n, d):
     built, reference = fields._q(n, d), Fraction(n, d)
     assert type(built) is Fraction and built == reference
     assert [f(built) for f in (hash, repr, str)] == [f(reference) for f in (hash, repr, str)]
+
+
+# The field work of one integrate step, by counted target: the section's
+# div (its mul and inv inside), the derivative's mul, the residual update's
+# neg and add, and a zero test in each of the three.
+STEP_FIELD_WORK = {"div": 1, "mul": 2, "inv": 1, "neg": 1, "add": 1, "is_zero": 3}
+
+
+@pytest.mark.parametrize("field", [hahnsolve.QQ, hahnsolve.PrimeField(7)], ids=str)
+@pytest.mark.parametrize("name", ["ddt", "euler"])
+def test_field_work_per_correction_step_is_pinned(monkeypatch, field, name):
+    """Counts the calls the tracer's ``fields.*`` counters see.  A ``sub`` in
+    the residual update would add a counted call (``sub`` plus its inner
+    ``add`` and ``neg``) to every step."""
+    tracer = _load_tracer(monkeypatch)
+    calls = {}
+    for counter, targets in tracer.COUNT_ONLY.items():
+        if not counter.startswith("fields."):
+            continue
+        for target in targets:
+            owner, attr, original = tracer._resolve(target)
+
+            def counted(*args, _original=original, _attr=attr):
+                calls[_attr] = calls.get(_attr, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, attr, counted)
+    group = hahnsolve.INTEGERS
+    dspec = hahnsolve.DifferentialFieldSpec(
+        field, group, getattr(hahnsolve, name)(field, group)
+    )
+    # over GF(7) ddt has no preimage for 6 and euler none for 7
+    exponents = [-3, -2, 1, 2, 3, 4, 5, 8, 9, 10]
+    b = dspec.space.series([(g % 5 + 1, g) for g in exponents])
+    n = len(exponents)
+    calls.clear()
+    assert hahnsolve.integrate(dspec, b).iterations == n
+    assert calls == {op: n * k for op, k in STEP_FIELD_WORK.items()}
