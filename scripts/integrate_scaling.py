@@ -2,8 +2,8 @@
 """Time `integrate` against its term-wise oracle as the target grows.
 
 For d/dt over QQ with rational exponents, each size from 100 to 3,200 terms
-gets one seeded dense target; the script prints the best of three timings of
-`integrate` and of `termwise_integral_oracle`, and their ratio.  The solver
+gets one seeded dense target; the script prints the median of five timings
+of `integrate` and of `termwise_integral_oracle`, and their ratio.  The solver
 takes one correction step per term and the oracle one pass, so a ratio that
 stays flat as the size doubles means a step costs the same at every size.
 Exits 1 if a solution differs from the oracle.  Takes no arguments:
@@ -12,6 +12,7 @@ Exits 1 if a solution differs from the oracle.  Takes no arguments:
 """
 
 import random
+import statistics
 import sys
 import time
 from fractions import Fraction
@@ -33,22 +34,22 @@ def dense_target(terms: int, seed: int):
     )
 
 
-def best_time(fn, repeat: int):
-    """The least wall time of ``repeat`` calls, and the last call's value."""
-    best = float("inf")
+def median_time(fn, repeat: int):
+    """The median wall time of ``repeat`` calls, and the last call's value."""
+    times = []
     for _ in range(repeat):
         start = time.perf_counter()
         value = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, value
+        times.append(time.perf_counter() - start)
+    return statistics.median(times), value
 
 
-def main(sizes=SIZES, repeat: int = 3) -> int:
+def main(sizes=SIZES, repeat: int = 5) -> int:
     print(f"{'terms':>6} {'integrate_ms':>13} {'oracle_ms':>10} {'ratio':>6}")
     for terms in sizes:
         b = dense_target(terms, seed=terms)
-        solve_s, result = best_time(lambda: integrate(DSPEC, b), repeat)
-        oracle_s, expected = best_time(lambda: termwise_integral_oracle(DSPEC, b), repeat)
+        solve_s, result = median_time(lambda: integrate(DSPEC, b), repeat)
+        oracle_s, expected = median_time(lambda: termwise_integral_oracle(DSPEC, b), repeat)
         if result.solution != expected:
             print(f"{terms}: solution differs from the term-wise oracle", file=sys.stderr)
             return 1

@@ -8,16 +8,15 @@ witness for ``a`` when
 The product group carries the minimum valuation, the summation map is a
 valued-group homomorphism into the ambient series group, and decomposition
 runs the correction engine with a section that produces a witness for each
-residual.  Two subgroup kinds are supported, both with decidable membership:
-
-* support-pattern subgroups (all series whose exponents satisfy a predicate),
-  where assigning the leading term to the lowest-index matching subgroup is
-  an exact section;
-* span subgroups (finite coefficient-spans of fixed exact series), each
-  reduced once to an echelon basis whose keys are the values it takes.  A
-  witness exists exactly when some subgroup takes the value ``v(a)``, and
-  then the lowest-index such subgroup takes the whole leading term, so a
-  NotPseudoDirect verdict exhibits a genuinely non-pseudo-direct family.
+residual.  A witness exists exactly when some subgroup has an element of
+value ``v(a)``, so each subgroup answers one question, ``part(a)``: its
+element whose leading term is ``a``'s, or ``None``.  The section takes the
+first part, whatever the subgroups' kinds, and a NotPseudoDirect verdict is
+a proof.  For a support pattern (all series whose exponents satisfy a
+predicate) the part is the leading term itself; for a span (the
+coefficient-span of fixed exact series, reduced once to an echelon basis
+keyed by the values it takes) it is the basis row at ``v(a)`` times the
+leading coefficient.  Both kinds have decidable membership.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Callable, Sequence
 from .errors import IndeterminateValuation, NotPseudoDirect, ParseError
 from .fields import CoefficientField, FieldElement, _split_top_level, parse_number
 from .parsing import parse_series
-from .series import Series, SeriesSpace, Term, _trusted
+from .series import Series, SeriesSpace, _trusted
 from .solver import (
     DEFAULT_MAX_ITER,
     AsymptoticSection,
@@ -50,6 +49,14 @@ class SupportSubgroup:
 
     def contains_series(self, s: Series) -> bool:
         return all(self.pattern(g) for g in s.support)
+
+    def part(self, a: Series) -> Series | None:
+        """``a``'s leading term, as is, when the pattern takes its exponent."""
+        lead = a.leading_term()
+        if not self.pattern(lead.exponent):
+            return None
+        # a leading coefficient is nonzero, so the term is a series as is
+        return _trusted(a.field, a.group, (lead,), INFINITY)
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,15 @@ class SpanSubgroup:
                     break
                 r = r.sub(rows[g].scale(c))
         return rows
+
+    def part(self, a: Series) -> Series | None:
+        """The basis row at ``v(a)`` times ``a``'s leading coefficient, if
+        any; an inexact ``a`` is refused with ``ParseError``."""
+        if not a.is_exact:
+            raise ParseError("a span splits only an exact target")
+        c, g = a.leading_term()
+        row = self.basis.get(g)
+        return None if row is None else row.scale(c)
 
 
 Subgroup = SupportSubgroup | SpanSubgroup
@@ -197,59 +213,25 @@ def check_pseudo_direct_witness(a: Series, t: ProductElement) -> bool:
 
 
 def pseudo_direct_section(subgroups: Sequence[Subgroup], a: Series) -> ProductElement:
-    """A witness tuple for nonzero ``a``, or ``NotPseudoDirect``.
-
-    The leading term goes to the lowest-index subgroup with an element of
-    value ``v(a)`` (any witness is acceptable; the fixed tie-break keeps runs
-    deterministic): for a support pattern, the monomial itself; for a span,
-    its basis row at ``v(a)`` times the leading coefficient.  When no
-    subgroup takes ``v(a)`` no witness exists, so the refusal is a proof.
-    """
-    return _section_for(subgroups)(subgroups, a)
-
-
-def _section_for(subgroups: Sequence[Subgroup]):
-    """The section for a family of one kind; an empty or mixed family is refused."""
+    """A witness tuple for nonzero ``a``: the first subgroup's part at ``a``
+    (the fixed tie-break keeps runs deterministic), or ``NotPseudoDirect``
+    when no subgroup has one.  An empty family is a ``ValueError``."""
+    for i, sub in enumerate(subgroups):
+        part = sub.part(a)
+        if part is not None:
+            components = [_trusted(a.field, a.group, (), INFINITY)] * len(subgroups)
+            components[i] = part
+            return ProductElement(tuple(components))
     if not subgroups:
         raise ValueError("need at least one subgroup")
-    if all(isinstance(sub, SupportSubgroup) for sub in subgroups):
-        return _support_section
-    if all(isinstance(sub, SpanSubgroup) for sub in subgroups):
-        return _span_section
-    raise ParseError("mixed support-pattern and span subgroups are not supported")
-
-
-def _one_component(n: int, i: int, a: Series, part: Series) -> ProductElement:
-    """``n`` exact zeros of ``a``'s space with ``part`` in place ``i``."""
-    components = [_trusted(a.field, a.group, (), INFINITY)] * n
-    components[i] = part
-    return ProductElement(tuple(components))
-
-
-def _support_section(subgroups: Sequence[SupportSubgroup], a: Series) -> ProductElement:
-    c, g = a.leading_term()
-    for i, sub in enumerate(subgroups):
-        if sub.pattern(g):
-            # a leading coefficient is nonzero, so the monomial is a series as is
-            monomial = _trusted(a.field, a.group, (Term(c, g),), INFINITY)
-            return _one_component(len(subgroups), i, a, monomial)
     raise NotPseudoDirect(
-        f"leading exponent {a.group.format(g)} matches no subgroup pattern"
+        f"no subgroup has an element of value {a.group.format(a.leading_term().exponent)}"
     )
 
 
+# unused; perfbench/tracer.py still wraps it by name (EXTRA_SPANS)
 def _span_section(subgroups: Sequence[SpanSubgroup], a: Series) -> ProductElement:
-    if not a.is_exact:
-        raise ParseError("span decomposition needs an exact target")
-    lead, va = a.leading_term()
-    for i, sub in enumerate(subgroups):
-        row = sub.basis.get(va)
-        if row is not None:
-            return _one_component(len(subgroups), i, a, row.scale(lead))
-    raise NotPseudoDirect(
-        "no span combination is a witness: components of value >= "
-        f"{a.group.format(va)} cannot match the target's leading term"
-    )
+    return pseudo_direct_section(subgroups, a)
 
 
 # unused; perfbench/tracer.py still wraps it by name (GRID)
@@ -316,7 +298,8 @@ def _solve_linear(
 def decomposition_instance(
     subgroups: Sequence[Subgroup], space: SeriesSpace
 ) -> tuple[HomomorphismSpec, AsymptoticSection]:
-    _section_for(subgroups)  # refuse an empty or mixed family before any step
+    if not subgroups:
+        raise ValueError("need at least one subgroup")
     product = ProductGroup(tuple(space for _ in subgroups))
     spec = HomomorphismSpec(domain=product, codomain=space, apply=sum_map)
     section = AsymptoticSection(

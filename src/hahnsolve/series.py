@@ -48,9 +48,10 @@ class Series:
     fails.  ``make_series`` (and the ``SeriesSpace`` helpers) normalizes an
     arbitrary term list; it, the arithmetic below (``add``, ``sub``, ``neg``,
     ``scale``, ``truncate``, ``SeriesSpace.zero`` and ``SeriesSpace.total``),
-    ``derive`` under an increasing shift, ``asymptotic_section`` and the
-    decomposition section's one-term monomial build their results without
-    the check, because the invariants hold by construction.
+    ``derive`` under an increasing shift, ``asymptotic_section``,
+    ``SupportSubgroup.part`` (the leading term, as is) and the decomposition
+    section's zeros build their results without the check, because the
+    invariants hold by construction.
 
     ``valuation`` raises ``IndeterminateValuation`` for a series that is zero
     only to its precision; ``valuation_lower_bound`` is the way to read the

@@ -232,7 +232,27 @@ class TestDecompose:
             ["decompose", "--parts", "span:{1 + t^1},span:{1}", "t^1"]
         )
         assert code == 3
-        assert "no span combination is a witness" in err
+        assert err == "error: no subgroup has an element of value 1\n"
+
+    @pytest.mark.parametrize(
+        "target, lines",
+        [
+            ("t^1", ["part even: 0", "part span:{t^1}: t^1", "witness: pass"]),
+            ("0", ["part even: 0", "part span:{t^1}: 0", "witness: vacuous"]),
+        ],
+    )
+    def test_mixed_family_decomposes(self, target, lines):
+        code, out, err = run_cli(["decompose", "--parts", "even,span:{t^1}", target])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [*lines, "residual_value: inf"]
+
+    def test_mixed_family_refusal_names_the_value(self):
+        # the span takes t^1 and leaves -t^3, even takes t^2, and then
+        # t^3 is odd while every element of the span has value 1
+        argv = ["decompose", "--parts", "even,span:{t^1 + t^3}", "t^1 + t^2 + t^5"]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (3, "")
+        assert err == "error: no subgroup has an element of value 3\n"
 
     def test_span_witness_is_found_exactly(self):
         # the whole target goes to the third span; the first two could only
@@ -393,9 +413,7 @@ class TestArgumentErrors:
             ["check", "--samples", "-3"],
             ["decompose", "--group", "lex2", "--parts", "even,odd", "t^(1,2)"],
             ["check", "--instance", "nope"],
-            ["decompose", "--parts", "even,span:{t^1}", "t^1"],
             ["decompose", "--parts", "span:{t^1 + O(2)}", "t^1"],
-            ["decompose", "--parts", "even,span:{t^1}", "0"],
             ["integrate", "--derivation", "d:0=1", "t^2"],
             ["decompose", "--parts", "span:{t^1}", "t^1 + O(3)"],
             ["integrate", "--derivation", "d:1=1,2=1;sigma:1=5,2=5", "t^5"],

@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hahnsolve as hs
-from hahnsolve import pseudo_direct
 from hahnsolve import series as series_module
 
 from .conftest import F5Z, QZ, assert_answer, nonzero_exact_series, refused
@@ -246,7 +245,7 @@ class TestSupportSection:
             c, g = a.leading_term()
             expected = [space.zero for _ in range(k)]
             expected[g % k] = space.monomial(c, g)
-            got = pseudo_direct._support_section(subgroups, a)
+            got = hs.pseudo_direct_section(subgroups, a)
             assert got == tup(*expected)
             # the checking constructor accepts every component
             assert all(hs.Series(s.field, s.group, s.terms, s.truncation) == s for s in got)
@@ -255,10 +254,16 @@ class TestSupportSection:
         with pytest.raises(ValueError):
             hs.pseudo_direct_section([], QZ.monomial(1, 1))
 
-    def test_mixed_kinds_rejected(self):
-        span = hs.SpanSubgroup("s", (QZ.monomial(1, 0),))
-        with pytest.raises(ValueError):
-            hs.pseudo_direct_section([EVEN, span], QZ.monomial(1, 1))
+    def test_mixed_family_takes_the_first_part(self):
+        # t^1 is odd, so the span takes it; t^2 goes to EVEN, the first part
+        span = hs.SpanSubgroup("s", (QZ.series([(1, 1), (1, 3)]), QZ.monomial(1, 2)))
+        t = hs.pseudo_direct_section([EVEN, span], QZ.series([(2, 1), (1, 4)]))
+        assert t == tup(QZ.zero, QZ.series([(2, 1), (2, 3)]))
+        t = hs.pseudo_direct_section([EVEN, span], QZ.monomial(5, 2))
+        assert t == tup(QZ.monomial(5, 2), QZ.zero)
+        with pytest.raises(hs.NotPseudoDirect) as excinfo:
+            hs.pseudo_direct_section([EVEN, span], QZ.monomial(1, 5))
+        assert str(excinfo.value) == "no subgroup has an element of value 5"
 
 
 class TestDecompose:
@@ -350,13 +355,13 @@ class TestSpanSubgroups:
         a2 = hs.SpanSubgroup("a2", (QZ.monomial(1, 0),))
         with pytest.raises(hs.NotPseudoDirect) as excinfo:
             hs.decompose([a1, a2], QZ.monomial(1, 1))
-        assert "no span combination is a witness" in str(excinfo.value)
+        assert str(excinfo.value).endswith("of value 1")
 
     def test_unreachable_leading_part(self):
         sub = hs.SpanSubgroup("high", (QZ.monomial(1, 2),))
         with pytest.raises(hs.NotPseudoDirect) as excinfo:
             hs.decompose([sub], QZ.monomial(1, 1))
-        assert "no span combination" in str(excinfo.value)
+        assert str(excinfo.value).endswith("of value 1")
 
     def test_generators_may_cancel_inside_one_subgroup(self):
         # (1 + t) - (1 - t) = 2t cancels at t^0 inside the second subgroup,
@@ -381,12 +386,14 @@ class TestSpanSubgroups:
         assert parts.components == (QZ.zero, a)
         assert hs.check_pseudo_direct_witness(a, parts)
 
-    def test_span_section_scales_without_normalising(self, monkeypatch):
+    @pytest.mark.parametrize("patterns", [[], [EVEN]], ids=["spans", "mixed"])
+    def test_span_section_scales_without_normalising(self, monkeypatch, patterns):
         # Three spans with five generators, the target a combination of all
         # of them: each span's basis scales its rows as it is built, and
-        # every correction step scales one basis row by the residual's
-        # leading coefficient.  Scaling keeps the term order, so none of
-        # that may re-normalise.
+        # every correction step a span takes scales one basis row by the
+        # residual's leading coefficient.  Scaling keeps the term order, so
+        # none of that may re-normalise.  In the mixed family EVEN takes
+        # the even leading terms and the spans the odd ones.
         gens = [
             QZ.series([(1, 0), (2, 2)]),
             QZ.series([(3, 1), (1, 4)]),
@@ -394,7 +401,7 @@ class TestSpanSubgroups:
             QZ.series([(2, 3), (-1, 5)]),
             QZ.series([(1, 5), (1, 6)]),
         ]
-        subgroups = [
+        subgroups = patterns + [
             hs.SpanSubgroup("a1", tuple(gens[:1])),
             hs.SpanSubgroup("a2", tuple(gens[1:3])),
             hs.SpanSubgroup("a3", tuple(gens[3:])),
@@ -488,6 +495,61 @@ class TestSpanRefusalIsAProof:
                 sub.contains_series(s) for sub, s in zip(subgroups, parts.components)
             )
         assert 0 < refusals < 100
+
+
+@st.composite
+def mixed_families(draw):
+    """A prime p in {2, 3, 5}, a shuffled family of 1-2 ``mod:``/``set:``
+    patterns and 1-2 spans of 1-2 generators, and a nonzero exact target,
+    all supported on the exponents [0, 5)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    space = hs.SeriesSpace(hs.PrimeField(p), hs.INTEGERS)
+    window = range(5)
+
+    def series(min_terms):
+        exps = draw(st.sets(st.sampled_from(window), min_size=min_terms, max_size=4))
+        return space.series([(draw(st.integers(1, p - 1)), e) for e in sorted(exps)])
+
+    patterns = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            k = draw(st.integers(2, 4))
+            text = f"mod:{k}:{draw(st.integers(0, k - 1))}"
+        else:
+            members = draw(st.sets(st.sampled_from(window), max_size=3))
+            text = "set:{" + ",".join(map(str, sorted(members))) + "}"
+        patterns.append(hs.parse_subgroup(space.field, space.group, text))
+    spans = [
+        hs.SpanSubgroup(f"s{i}", tuple(series(1) for _ in range(draw(st.integers(1, 2)))))
+        for i in range(draw(st.integers(1, 2)))
+    ]
+    family = draw(st.permutations(patterns + spans))
+    return p, family, series(1)
+
+
+class TestMixedFamilies:
+    """Families mixing patterns and spans, against brute force."""
+
+    @given(mixed_families())
+    def test_answers_are_witnesses_and_refusals_are_proofs(self, drawn):
+        p, family, a = drawn
+        try:
+            parts = hs.decompose(family, a)
+        except hs.NotPseudoDirect as e:
+            g = e.residual.valuation().finite
+            assert str(e) == f"no subgroup has an element of value {g}"
+            for sub in family:
+                if isinstance(sub, hs.SupportSubgroup):
+                    assert not sub.pattern(g)
+                    continue
+                # every element of the span, one per coefficient vector
+                for xs in product(range(p), repeat=len(sub.generators)):
+                    element = hs.sum_map(tup(*(u.scale(x) for u, x in zip(sub.generators, xs))))
+                    assert not element.terms or element.valuation().finite != g
+            return
+        assert hs.sum_map(parts) == a
+        assert hs.check_pseudo_direct_witness(a, parts)
+        assert all(sub.contains_series(s) for sub, s in zip(family, parts.components))
 
 
 class TestSpanBasis:

@@ -39,7 +39,8 @@ def test_script_exits_zero(argv, monkeypatch):
 
 
 def test_integrate_scaling_matches_the_oracle_at_small_sizes(capsys):
-    # sizes and agreement only: the machine's speed is not the script's to assert
+    """One timing per size, so the median is that timing: sizes and agreement
+    only, as the machine's speed is not the script's to assert."""
     script = runpy.run_path(str(SCRIPTS / "integrate_scaling.py"))
     assert script["main"]((3, 6, 24), repeat=1) == 0
     rows = capsys.readouterr().out.splitlines()[1:]

@@ -187,18 +187,8 @@ def test_a_kernel_fraction_is_a_fraction(n, d):
     assert [f(built) for f in (hash, repr, str)] == [f(reference) for f in (hash, repr, str)]
 
 
-# The field work of one integrate step, by counted target: the section's
-# div (its mul and inv inside), the derivative's mul, the residual update's
-# neg and add, and a zero test in each of the three.
-STEP_FIELD_WORK = {"div": 1, "mul": 2, "inv": 1, "neg": 1, "add": 1, "is_zero": 3}
-
-
-@pytest.mark.parametrize("field", [hahnsolve.QQ, hahnsolve.PrimeField(7)], ids=str)
-@pytest.mark.parametrize("name", ["ddt", "euler"])
-def test_field_work_per_correction_step_is_pinned(monkeypatch, field, name):
-    """Counts the calls the tracer's ``fields.*`` counters see.  A ``sub`` in
-    the residual update would add a counted call (``sub`` plus its inner
-    ``add`` and ``neg``) to every step."""
+def _count_field_calls(monkeypatch) -> dict:
+    """Calls the tracer's ``fields.*`` counters see, by method name."""
     tracer = _load_tracer(monkeypatch)
     calls = {}
     for counter, targets in tracer.COUNT_ONLY.items():
@@ -212,6 +202,22 @@ def test_field_work_per_correction_step_is_pinned(monkeypatch, field, name):
                 return _original(*args)
 
             monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+# The field work of one integrate step, by counted target: the section's
+# div (its mul and inv inside), the derivative's mul, the residual update's
+# neg and add, and a zero test in each of the three.
+STEP_FIELD_WORK = {"div": 1, "mul": 2, "inv": 1, "neg": 1, "add": 1, "is_zero": 3}
+
+
+@pytest.mark.parametrize("field", [hahnsolve.QQ, hahnsolve.PrimeField(7)], ids=str)
+@pytest.mark.parametrize("name", ["ddt", "euler"])
+def test_field_work_per_correction_step_is_pinned(monkeypatch, field, name):
+    """Counts the calls the tracer's ``fields.*`` counters see.  A ``sub`` in
+    the residual update would add a counted call (``sub`` plus its inner
+    ``add`` and ``neg``) to every step."""
+    calls = _count_field_calls(monkeypatch)
     group = hahnsolve.INTEGERS
     dspec = hahnsolve.DifferentialFieldSpec(
         field, group, getattr(hahnsolve, name)(field, group)
@@ -223,3 +229,18 @@ def test_field_work_per_correction_step_is_pinned(monkeypatch, field, name):
     calls.clear()
     assert hahnsolve.integrate(dspec, b).iterations == n
     assert calls == {op: n * k for op, k in STEP_FIELD_WORK.items()}
+
+
+@pytest.mark.parametrize("field", [hahnsolve.QQ, hahnsolve.PrimeField(7)], ids=str)
+def test_field_work_per_decompose_step_is_pinned(monkeypatch, field):
+    """A residue-family step hands the leading term over as is, so its only
+    field work is the residual update's neg, add and zero test."""
+    calls = _count_field_calls(monkeypatch)
+    group = hahnsolve.INTEGERS
+    family = [hahnsolve.parse_subgroup(field, group, f"mod:3:{r}") for r in range(3)]
+    exponents = [-3, -2, 1, 2, 3, 4, 5, 8, 9, 10]
+    a = hahnsolve.SeriesSpace(field, group).series([(g % 5 + 1, g) for g in exponents])
+    n = len(exponents)
+    calls.clear()
+    assert hahnsolve.decompose_solve(family, a).iterations == n
+    assert calls == {"neg": n, "add": n, "is_zero": n}
