@@ -2,10 +2,12 @@
 """Time `integrate` against its term-wise oracle as the target grows.
 
 For d/dt over QQ with rational exponents, each size from 100 to 3,200 terms
-gets one seeded dense target; the script prints the median of five timings
-of `integrate` and of `termwise_integral_oracle`, and their ratio.  The solver
-takes one correction step per term and the oracle one pass, so a ratio that
-stays flat as the size doubles means a step costs the same at every size.
+gets one seeded dense target.  `integrate` and `termwise_integral_oracle`
+are timed in alternation, five pairs, and the script prints the median time
+of each and the median of the five per-pair ratios, so both timings behind a
+ratio come from the same stretch of machine speed.  The solver takes one
+correction step per term and the oracle one pass, so a ratio that stays flat
+as the size doubles means a step costs the same at every size.
 Exits 1 if a solution differs from the oracle.  Takes no arguments:
 
     python3 scripts/integrate_scaling.py
@@ -34,29 +36,40 @@ def dense_target(terms: int, seed: int):
     )
 
 
-def median_time(fn, repeat: int):
-    """The median wall time of ``repeat`` calls, and the last call's value."""
-    times = []
+def _timed(fn):
+    """The wall time of one call of ``fn``, and its value."""
+    start = time.perf_counter()
+    value = fn()
+    return time.perf_counter() - start, value
+
+
+def paired_times(solve, oracle, repeat: int):
+    """Medians of ``repeat`` timings of ``solve`` and of ``oracle``, taken in
+    alternation, and the median of the per-pair ratios; then both last values.
+    Each pair is timed back to back, so a change in machine speed between
+    pairs moves both timings of a pair and leaves its ratio alone."""
+    solve_times, oracle_times, ratios = [], [], []
     for _ in range(repeat):
-        start = time.perf_counter()
-        value = fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), value
+        solve_s, result = _timed(solve)
+        oracle_s, expected = _timed(oracle)
+        solve_times.append(solve_s)
+        oracle_times.append(oracle_s)
+        ratios.append(solve_s / oracle_s)
+    median = statistics.median
+    return median(solve_times), median(oracle_times), median(ratios), result, expected
 
 
 def main(sizes=SIZES, repeat: int = 5) -> int:
     print(f"{'terms':>6} {'integrate_ms':>13} {'oracle_ms':>10} {'ratio':>6}")
     for terms in sizes:
         b = dense_target(terms, seed=terms)
-        solve_s, result = median_time(lambda: integrate(DSPEC, b), repeat)
-        oracle_s, expected = median_time(lambda: termwise_integral_oracle(DSPEC, b), repeat)
+        solve_s, oracle_s, ratio, result, expected = paired_times(
+            lambda: integrate(DSPEC, b), lambda: termwise_integral_oracle(DSPEC, b), repeat
+        )
         if result.solution != expected:
             print(f"{terms}: solution differs from the term-wise oracle", file=sys.stderr)
             return 1
-        print(
-            f"{terms:>6} {solve_s * 1e3:>13.2f} {oracle_s * 1e3:>10.2f}"
-            f" {solve_s / oracle_s:>6.2f}"
-        )
+        print(f"{terms:>6} {solve_s * 1e3:>13.2f} {oracle_s * 1e3:>10.2f} {ratio:>6.2f}")
     return 0
 
 

@@ -6,52 +6,84 @@ integer ranges, stretched appropriately for rational and lexicographic value
 groups.  Rational exponents for a series over GF(p) get only denominators
 prime to p, so each has an image in the field, as the power rule's
 ``d(g) = g`` needs; over QQ and GF(p) for p >= 5 no denominator is left out.
+
+A seed gives the same draws as the plain ``randint``/``Fraction(n, d)``
+sampler in ``tests/test_sampling.py``, on a given interpreter (Python promises
+only ``random()`` across versions), at one RNG call per number:
+``choice(range(lo, hi + 1))`` takes the ``_randbelow`` width of ``randint(lo,
+hi)``.  GF(p) keeps ``randrange``: ``range(1, p)`` has no ``len`` above 2**63.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Collection
 
 from .fields import QQ, CoefficientField, PrimeField
-from .series import Series, SeriesSpace
+from .series import Series, SeriesSpace, make_series
 from .ultrametric import Ball
-from .valuegroups import (
-    INTEGERS,
-    RATIONALS,
-    GroupElement,
-    LexPair,
-    OrderedValue,
-    ValueGroup,
-)
+from .valuegroups import INTEGERS, RATIONALS, GroupElement, LexPair, OrderedValue, ValueGroup
 
 Forbid = Callable[[GroupElement], bool] | Collection[GroupElement] | None
 
+# Row n + 9 holds Fraction(n, d) for d = 1..6: choosing a row, then an entry,
+# draws as randint(-9, 9) then randint(1, 6) would, already in lowest terms.
+_QQ_ROWS = tuple(tuple(Fraction(n, d) for d in range(1, 7)) for n in range(-9, 10))
+
 
 def _forbidden(forbid: Forbid) -> Callable[[GroupElement], bool]:
-    if forbid is None:
-        return lambda _g: False
     if callable(forbid):
         return forbid
-    members = set(forbid)
-    return lambda g: g in members
+    if not isinstance(forbid, (set, frozenset)):
+        forbid = frozenset(forbid or ())
+    return forbid.__contains__
+
+
+def _coefficients(rng: random.Random, field: CoefficientField, nonzero: bool) -> Callable:
+    """The coefficient rule: a function drawing one canonical coefficient."""
+    if isinstance(field, PrimeField):
+        return partial(rng.randrange, 1 if nonzero else 0, field.p)
+    choice = rng.choice
+
+    def draw():
+        c = choice(choice(_QQ_ROWS))
+        while nonzero and not c:
+            c = choice(choice(_QQ_ROWS))
+        return c
+
+    return draw
+
+
+def _denominators(field: CoefficientField, choices: tuple[int, ...]) -> tuple[int, ...]:
+    """``choices``, leaving out the multiples of p over GF(p)."""
+    p = field.p if isinstance(field, PrimeField) else 0
+    return tuple(d for d in choices if not p or d % p)
+
+
+def _exponents(rng: random.Random, group: ValueGroup, lo: int, hi: int, field: CoefficientField):
+    """The exponent rule: a function drawing one exponent in the window."""
+    choice = rng.choice
+    if group == INTEGERS:
+        return partial(choice, range(lo, hi + 1))
+    if group == RATIONALS:
+        windows = [(d, range(lo * d, hi * d + 1)) for d in _denominators(field, (1, 2, 3, 4))]
+
+        def draw():
+            d, numerators = choice(windows)
+            return Fraction(choice(numerators), d)
+
+        return draw
+    if isinstance(group, LexPair):
+        left = _exponents(rng, group.left, lo, hi, field)
+        right = _exponents(rng, group.right, lo, hi, field)
+        return lambda: (left(), right())
+    raise ValueError(f"no exponent sampler for group {group!r}")
 
 
 def random_coefficient(rng: random.Random, field: CoefficientField, nonzero: bool = False):
-    if isinstance(field, PrimeField):
-        return rng.randrange(1 if nonzero else 0, field.p)
-    while True:
-        c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-        if c or not nonzero:
-            return c
-
-
-def _denominator(rng: random.Random, field: CoefficientField, choices: list[int]) -> int:
-    """One of ``choices``, leaving out the multiples of p over GF(p)."""
-    if isinstance(field, PrimeField):
-        choices = [d for d in choices if d % field.p]
-    return rng.choice(choices)
+    return _coefficients(rng, field, nonzero)()
 
 
 def random_exponent(
@@ -62,17 +94,7 @@ def random_exponent(
     field: CoefficientField = QQ,
 ) -> GroupElement:
     """An exponent in the window, for a series over ``field``."""
-    if group == INTEGERS:
-        return rng.randint(lo, hi)
-    if group == RATIONALS:
-        den = _denominator(rng, field, [1, 2, 3, 4])
-        return Fraction(rng.randint(lo * den, hi * den), den)
-    if isinstance(group, LexPair):
-        return (
-            random_exponent(rng, group.left, lo, hi, field),
-            random_exponent(rng, group.right, lo, hi, field),
-        )
-    raise ValueError(f"no exponent sampler for group {group!r}")
+    return _exponents(rng, group, lo, hi, field)()
 
 
 def random_positive(
@@ -82,7 +104,7 @@ def random_positive(
     if group == INTEGERS:
         return rng.randint(1, 3)
     if group == RATIONALS:
-        return Fraction(rng.randint(1, 6), _denominator(rng, field, [1, 2, 3]))
+        return Fraction(rng.randint(1, 6), rng.choice(_denominators(field, (1, 2, 3))))
     if isinstance(group, LexPair):
         if rng.random() < 0.3:
             return (
@@ -103,17 +125,20 @@ def random_series(
     forbid: Forbid = None,
 ) -> Series:
     """Random series with support drawn from the window, skipping forbidden
-    exponents; resamples until nonempty when ``nonzero`` is set."""
+    exponents; resamples until nonempty when ``nonzero`` is set.  The drawn
+    pairs are canonical, so ``make_series`` takes them as they are."""
     banned = _forbidden(forbid)
+    field, group = space.field, space.group
+    exponent = _exponents(rng, group, lo, hi, field)
+    coefficient = _coefficients(rng, field, True)
+    counts = range(1 if nonzero else 0, max_terms + 1)
     for _ in range(200):
-        count = rng.randint(1 if nonzero else 0, max_terms)
         terms = []
-        for _ in range(count):
-            g = random_exponent(rng, space.group, lo, hi, space.field)
-            if banned(g):
-                continue
-            terms.append((random_coefficient(rng, space.field, nonzero=True), g))
-        s = space.series(terms)
+        for _ in range(rng.choice(counts)):
+            g = exponent()
+            if not banned(g):
+                terms.append((coefficient(), g))
+        s = make_series(field, group, terms)
         if s.terms or not nonzero:
             return s
     raise RuntimeError("window and constraints left no nonzero series to sample")
@@ -140,6 +165,7 @@ def random_nest(
         raise ValueError("a nest needs at least one ball")
     banned = _forbidden(forbid)
     group, field = space.group, space.field
+    coefficient = _coefficients(rng, field, True)
     radius = random_exponent(rng, group, -5, 5, field)
     center = random_series(rng, space, -5, 5, 4, forbid=forbid)
     balls = [Ball(space, center, OrderedValue(radius))]
@@ -151,8 +177,8 @@ def random_nest(
                 g = group.add(g, random_positive(rng, group, field))
             if banned(g):
                 continue
-            delta_terms.append((random_coefficient(rng, field, nonzero=True), g))
-        center = center.add(space.series(delta_terms))
+            delta_terms.append((coefficient(), g))
+        center = center.add(make_series(field, group, delta_terms))
         radius = group.add(radius, random_positive(rng, group, field))
         balls.append(Ball(space, center, OrderedValue(radius)))
     return balls

@@ -148,11 +148,8 @@ class Series:
 
     def mul(self, other: "Series") -> "Series":
         self._like(other)
-        products = tuple(
-            Term(self.field.mul(c1, c2), self.group.add(g1, g2))
-            for c1, g1 in self.terms
-            for c2, g2 in other.terms
-        )
+        mul, add = self.field.mul, self.group.add
+        products = [(mul(c1, c2), add(g1, g2)) for c1, g1 in self.terms for c2, g2 in other.terms]
         return make_series(self.field, self.group, products, self._mul_truncation(other))
 
     def _mul_truncation(self, other: "Series") -> OrderedValue:
@@ -204,14 +201,13 @@ def make_series(
     Duplicate exponents are summed, zero coefficients dropped, and terms at or
     above the truncation bound discarded.
     """
+    add, is_zero = field.add, field.is_zero
     acc: dict[GroupElement, FieldElement] = {}
     for c, g in terms:
-        acc[g] = field.add(acc[g], c) if g in acc else c
+        acc[g] = add(acc[g], c) if g in acc else c
     bound = truncation.finite
-    kept = sorted(
-        g for g, c in acc.items() if not field.is_zero(c) and (bound is None or g < bound)
-    )
-    return _trusted(field, group, tuple(Term(acc[g], g) for g in kept), truncation)
+    kept = sorted(g for g, c in acc.items() if not is_zero(c) and (bound is None or g < bound))
+    return _trusted(field, group, tuple([Term(acc[g], g) for g in kept]), truncation)
 
 
 _exponent = itemgetter(1)

@@ -159,7 +159,8 @@ class OrderedValue:
     """An element of a value group, or the adjoined top element.
 
     ``finite`` is ``None`` exactly for the top element, which compares strictly
-    greater than every group value.
+    greater than every group value.  The order operators are native: they
+    compare the ``finite`` payloads directly, with ``None`` on top.
     """
 
     finite: GroupElement | None = None
@@ -169,16 +170,20 @@ class OrderedValue:
         return self.finite is None
 
     def __lt__(self, other: "OrderedValue") -> bool:
-        return ov_compare(self, other) < 0
+        a, b = self.finite, other.finite
+        return a is not None and (b is None or a < b)
 
     def __le__(self, other: "OrderedValue") -> bool:
-        return ov_compare(self, other) <= 0
+        a, b = self.finite, other.finite
+        return b is None or (a is not None and a <= b)
 
     def __gt__(self, other: "OrderedValue") -> bool:
-        return ov_compare(self, other) > 0
+        a, b = self.finite, other.finite
+        return b is not None and (a is None or a > b)
 
     def __ge__(self, other: "OrderedValue") -> bool:
-        return ov_compare(self, other) >= 0
+        a, b = self.finite, other.finite
+        return a is None or (b is not None and a >= b)
 
     def __repr__(self):
         return "OrderedValue(inf)" if self.is_infinite else f"OrderedValue({self.finite!r})"

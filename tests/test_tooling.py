@@ -8,11 +8,15 @@ name every module of the package, no more and no fewer, and no module may
 import at its top level a name it never uses.  A function imports a sibling
 module only where an import cycle forces it.  The rational kernel in
 ``fields.py`` builds ``Fraction``s from their two slots; that one interpreter
-assumption is pinned here, and no other module may touch the slots.
+assumption is pinned here, and no other module may touch the slots.  The
+normaliser's traffic is pinned too: a drawn series and a product each reach
+``make_series`` once, with a list of plain pairs, and the field work the
+tracer's ``fields.*`` counters see per step or per checked pair is fixed.
 """
 
 import ast
 import importlib.util
+import random
 import re
 import sys
 from fractions import Fraction
@@ -21,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import hahnsolve  # noqa: F401  (the tracer resolves targets in sys.modules)
-from hahnsolve import fields
+from hahnsolve import fields, series
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -244,3 +248,70 @@ def test_field_work_per_decompose_step_is_pinned(monkeypatch, field):
     calls.clear()
     assert hahnsolve.decompose_solve(family, a).iterations == n
     assert calls == {"neg": n, "add": n, "is_zero": n}
+
+
+def _record_make_series(monkeypatch) -> list:
+    """The term lists ``series.make_series`` receives, rebound in every module
+    that imported it, as the tracer rebinds it."""
+    original = series.make_series
+    seen = []
+
+    def recording(field, group, terms, truncation=hahnsolve.INFINITY):
+        seen.append(terms)
+        return original(field, group, terms, truncation)
+
+    for name, module in list(sys.modules.items()):
+        if name == "hahnsolve" or name.startswith("hahnsolve."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recording)
+    return seen
+
+
+def _plain_pairs(terms) -> bool:
+    return type(terms) is list and all(type(t) is tuple and len(t) == 2 for t in terms)
+
+
+def test_a_drawn_series_is_normalised_once_from_all_its_pairs(monkeypatch):
+    """``series.terms_normalised`` reads the ``terms`` argument: a draw of
+    ``count`` terms, repeats included, must hand over all of them at once."""
+    seen = _record_make_series(monkeypatch)
+    space = hahnsolve.SeriesSpace(hahnsolve.QQ, hahnsolve.INTEGERS)
+    repeats = 0
+    for seed in range(20):
+        seen.clear()
+        s = hahnsolve.random_series(random.Random(seed), space, -3, 3, 8)
+        count = random.Random(seed).randint(0, 8)  # the draw's first number
+        assert len(seen) == 1 and _plain_pairs(seen[0]) and len(seen[0]) == count
+        repeats += count - len(s.terms)
+    assert repeats > 0
+
+
+def test_a_product_is_normalised_once_from_its_m_by_n_pairs(monkeypatch):
+    seen = _record_make_series(monkeypatch)
+    space = hahnsolve.SeriesSpace(hahnsolve.QQ, hahnsolve.INTEGERS)
+    a = space.series([(1, 0), (2, 1), (3, 2)])
+    b = space.series([(1, 0), (-1, 1)])
+    product = space.series([(1, 0), (1, 1), (1, 2), (-3, 3)])
+    seen.clear()
+    assert a.mul(b) == product
+    assert len(seen) == 1 and _plain_pairs(seen[0]) and len(seen[0]) == 3 * 2
+
+
+# The field work of check_leibniz on one pair of 3- and 4-term series under
+# d/dt, by counted target: a scale for each of the 8 + 4 + 3 terms it
+# differentiates and 12 + 9 + 8 products in its three muls; the sums, negatives
+# and zero tests come from normalising the products, the add and the eq.
+LEIBNIZ_FIELD_WORK = {"mul": 44, "add": 21, "neg": 7, "is_zero": 49}
+
+
+@pytest.mark.parametrize("field", [hahnsolve.QQ, hahnsolve.PrimeField(7)], ids=str)
+def test_field_work_per_leibniz_pair_is_pinned(monkeypatch, field):
+    calls = _count_field_calls(monkeypatch)
+    group = hahnsolve.INTEGERS
+    dspec = hahnsolve.DifferentialFieldSpec(field, group, hahnsolve.ddt(field, group))
+    a = dspec.space.series([(1, 0), (2, 1), (3, 3)])
+    b = dspec.space.series([(1, -2), (4, 0), (5, 1), (6, 2)])
+    calls.clear()
+    assert hahnsolve.check_leibniz(dspec, [(a, b)]).ok
+    assert calls == LEIBNIZ_FIELD_WORK

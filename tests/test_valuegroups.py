@@ -1,6 +1,7 @@
 """Value groups, the adjoined top element, and their text forms."""
 
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given
@@ -67,6 +68,14 @@ class TestGroups:
         assert g.compare(a, b) == g.compare(g.add(a, c), g.add(b, c))
 
 
+_small = st.integers(-4, 4)
+NATIVE_PAYLOADS = {
+    "int": _small,
+    "rat": st.one_of(st.fractions(min_value=-3, max_value=3, max_denominator=4), _small),
+    "lex2": st.tuples(_small, _small),
+}
+
+
 class TestOrderedValue:
     def test_top_element_is_maximal(self):
         assert hs.OrderedValue(10) < hs.INFINITY
@@ -102,6 +111,22 @@ class TestOrderedValue:
             for y in values:
                 c = hs.ov_compare(x, y)
                 assert (x < y, x <= y, x > y, x >= y) == (c < 0, c <= 0, c > 0, c >= 0)
+
+    @pytest.mark.parametrize("payload", list(NATIVE_PAYLOADS), ids=list(NATIVE_PAYLOADS))
+    @given(data=st.data())
+    def test_native_operators_and_sorting_agree_with_ov_compare(self, payload, data):
+        # None is the top element, INFINITY itself
+        payloads = st.one_of(st.none(), NATIVE_PAYLOADS[payload])
+        values = [hs.OrderedValue(p) for p in data.draw(st.lists(payloads, max_size=12))]
+        values.append(hs.INFINITY)
+        for x in values:
+            for y in values:
+                c = hs.ov_compare(x, y)
+                assert (x < y, x <= y, x > y, x >= y) == (c < 0, c <= 0, c > 0, c >= 0)
+        by_compare = cmp_to_key(hs.ov_compare)
+        assert [id(v) for v in sorted(values)] == [id(v) for v in sorted(values, key=by_compare)]
+        assert min(values) is min(values, key=by_compare)
+        assert max(values) is max(values, key=by_compare)
 
     @given(st.integers(-100, 100), st.integers(-100, 100))
     def test_compare_is_antisymmetric(self, a, b):
