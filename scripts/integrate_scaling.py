@@ -7,7 +7,8 @@ are timed in alternation, five pairs, and the script prints the median time
 of each and the median of the five per-pair ratios, so both timings behind a
 ratio come from the same stretch of machine speed.  The solver takes one
 correction step per term and the oracle one pass, so a ratio that stays flat
-as the size doubles means a step costs the same at every size.
+as the size doubles means a step costs the same at every size.  `step_us` is
+that cost: the median `integrate` time over its number of correction steps.
 Exits 1 if a solution differs from the oracle.  Takes no arguments:
 
     python3 scripts/integrate_scaling.py
@@ -60,7 +61,7 @@ def paired_times(solve, oracle, repeat: int):
 
 
 def main(sizes=SIZES, repeat: int = 5) -> int:
-    print(f"{'terms':>6} {'integrate_ms':>13} {'oracle_ms':>10} {'ratio':>6}")
+    print(f"{'terms':>6} {'integrate_ms':>13} {'oracle_ms':>10} {'ratio':>6} {'step_us':>8}")
     for terms in sizes:
         b = dense_target(terms, seed=terms)
         solve_s, oracle_s, ratio, result, expected = paired_times(
@@ -69,7 +70,11 @@ def main(sizes=SIZES, repeat: int = 5) -> int:
         if result.solution != expected:
             print(f"{terms}: solution differs from the term-wise oracle", file=sys.stderr)
             return 1
-        print(f"{terms:>6} {solve_s * 1e3:>13.2f} {oracle_s * 1e3:>10.2f} {ratio:>6.2f}")
+        step_us = solve_s / result.iterations * 1e6
+        print(
+            f"{terms:>6} {solve_s * 1e3:>13.2f} {oracle_s * 1e3:>10.2f} {ratio:>6.2f}"
+            f" {step_us:>8.2f}"
+        )
     return 0
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 from .errors import AmbiguousShift, Obstruction, ParseError, UnmappedValue
@@ -90,7 +91,7 @@ def _power_rule(
     one = _unit_for(group)
     if step:
         add, minus_one = group.add, group.neg(one)
-        shift, unshift = (lambda g: add(g, minus_one)), (lambda g: add(g, one))
+        shift, unshift = partial(add, minus_one), partial(add, one)
         map_truncation = lambda t: OrderedValue(add(t.finite, minus_one))
     else:
         shift = unshift = map_truncation = lambda x: x
@@ -188,18 +189,21 @@ class DifferentialFieldSpec:
 def derive(derivation: TermwiseDerivation, s: Series) -> Series:
     """Apply the derivation to every term; precision carried conservatively.
     An ``increasing`` shift keeps the term order, so the kept terms are built
-    in one pass that drops zero products, and nothing is cut: no kept image
+    in one loop that drops zero products, and nothing is cut: no kept image
     reaches the mapped bound."""
     field, scale, shift = s.field, derivation.scale, derivation.shift
-    truncation = s.truncation if s.is_exact else derivation.map_truncation(s.truncation)
+    truncation = s.truncation
+    if truncation.finite is not None:
+        truncation = derivation.map_truncation(truncation)
     if not derivation.increasing:
         products = [(field.mul(c, scale(g)), shift(g)) for c, g in s.terms]
         return make_series(field, s.group, products, truncation)
-    kept = [
-        Term(p, shift(g))
-        for c, g in s.terms
-        if not field.is_zero(p := field.mul(c, scale(g)))
-    ]
+    mul, is_zero = field.mul, field.is_zero
+    kept = []
+    for c, g in s.terms:
+        p = mul(c, scale(g))
+        if not is_zero(p):
+            kept.append(Term(p, shift(g)))
     return _trusted(field, s.group, tuple(kept), truncation)
 
 
@@ -217,11 +221,12 @@ def asymptotic_section(dspec: DifferentialFieldSpec, b: Series) -> Series:
     exists under the shift.  The preimage is live, so ``c / d(g2)`` is nonzero.
     """
     c, g = b.leading_term()
-    g2 = dspec.derivation.shift_inverse(g)
+    derivation, field = dspec.derivation, dspec.field
+    g2 = derivation.shift_inverse(g)
     if g2 is None:
         raise Obstruction(g)
-    coeff = dspec.field.div(c, dspec.derivation.scale(g2))
-    return _trusted(dspec.field, dspec.group, (Term(coeff, g2),), INFINITY)
+    coeff = field.div(c, derivation.scale(g2))
+    return _trusted(field, dspec.group, (Term(coeff, g2),), INFINITY)
 
 
 def integration_instance(

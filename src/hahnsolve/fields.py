@@ -78,12 +78,16 @@ def _q(n: int, d: int) -> Fraction:
 
 
 def _q_of(x) -> Fraction:
-    """``x`` as a ``Fraction``: itself, an int's exact image, else ``Fraction(x)``."""
+    """``x`` as a ``Fraction``: itself, an int's exact image (built here, as
+    ``_q`` would), else ``Fraction(x)``."""
     t = type(x)
     if t is Fraction:
         return x
     if t is int:
-        return _q(x, 1)
+        q = _new(Fraction)
+        q._numerator = x
+        q._denominator = 1
+        return q
     return Fraction(x)
 
 
@@ -116,7 +120,10 @@ def _q_mul(a, b) -> Fraction:
     if g2 > 1:
         nb //= g2
         da //= g2
-    return _q(na * nb, da * db)
+    q = _new(Fraction)  # _q's body: a product is two per correction step
+    q._numerator = na * nb
+    q._denominator = da * db
+    return q
 
 
 def _q_neg(a) -> Fraction:
@@ -185,8 +192,10 @@ class CoefficientField(ABC):
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a: FieldElement) -> bool:
-        """Elements are numbers (``Fraction``, canonical ``int``): zero is falsy."""
-        return not a
+        """Elements are numbers (``Fraction``, canonical ``int``): zero is
+        falsy.  A ``Fraction``'s numerator is read from its slot, so the test
+        runs no Python-level ``Fraction.__bool__``."""
+        return not (a._numerator if type(a) is Fraction else a)
 
     def __repr__(self):
         return self.name
@@ -222,8 +231,9 @@ class RationalField(CoefficientField):
     def format(self, a):
         return str(a)
 
-    def coerce(self, n):
-        return _q_of(n)
+    # the kernel's reader itself, with no method frame around it: the power
+    # rule's scale is ``coerce``, three calls per correction step
+    coerce = staticmethod(_q_of)
 
 
 # Miller-Rabin to the bases _WITNESSES decides primality exactly below

@@ -145,20 +145,18 @@ def min_valuation(t: ProductElement) -> OrderedValue:
     )
 
 
-def _is_exact_zero(s: Series) -> bool:
-    return not s.terms and s.truncation.is_infinite
-
-
 def sum_map(t: ProductElement) -> Series:
-    """The sum of the components.  Exact zeros are skipped; a zero only to
-    its precision, such as ``O(5)``, is added, as it cuts the truncation."""
+    """The sum of the components.  Only the components that are not exact
+    zeros are folded, so a lone part is returned as is; a zero only to its
+    precision, such as ``O(5)``, is added, as it cuts the truncation.  When
+    every component is an exact zero the first is the sum."""
     if not t.components:
         raise ValueError("sum of an empty tuple has no ambient group")
-    total = t.components[0]
-    for s in t.components[1:]:
-        if not _is_exact_zero(s):
-            total = total.add(s)
-    return total
+    total = None
+    for s in t.components:
+        if s.terms or s.truncation.finite is not None:
+            total = s if total is None else total.add(s)
+    return t.components[0] if total is None else total
 
 
 @dataclass(frozen=True)

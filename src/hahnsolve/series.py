@@ -83,7 +83,7 @@ class Series:
 
     @property
     def is_exact(self) -> bool:
-        return self.truncation.is_infinite
+        return self.truncation.finite is None
 
     def coefficient(self, exponent: GroupElement) -> FieldElement:
         for t in self.terms:
@@ -94,7 +94,7 @@ class Series:
     def valuation(self) -> OrderedValue:
         if self.terms:
             return OrderedValue(self.terms[0].exponent)
-        if self.truncation.is_infinite:
+        if self.truncation.finite is None:
             return INFINITY
         raise IndeterminateValuation(
             "series is zero to its precision; valuation only bounded below",
@@ -157,9 +157,9 @@ class Series:
         # trunc(side) + v(other side), where a bound on v suffices (a factor
         # zero to its precision has one); an exact factor contributes no tail.
         sides = []
-        if not self.truncation.is_infinite:
+        if self.truncation.finite is not None:
             sides.append(ov_add(self.group, self.truncation, other.valuation_lower_bound()))
-        if not other.truncation.is_infinite:
+        if other.truncation.finite is not None:
             sides.append(ov_add(self.group, other.truncation, self.valuation_lower_bound()))
         return min(sides) if sides else INFINITY
 
@@ -221,7 +221,8 @@ def _trusted(
 ) -> Series:
     """A ``Series`` from terms that already meet its invariants, unchecked."""
     s = object.__new__(Series)
-    s.__dict__.update(field=field, group=group, terms=terms, truncation=truncation)
+    d = s.__dict__
+    d["field"], d["group"], d["terms"], d["truncation"] = field, group, terms, truncation
     return s
 
 
@@ -234,35 +235,39 @@ def _below(terms: tuple[Term, ...], truncation: OrderedValue) -> tuple[Term, ...
 def _merge(x: Series, y: Series, negate: bool) -> Series:
     """``x + y`` (``x - y`` when ``negate``) as one merge of the sorted terms.
 
-    An empty operand whose truncation is not below the other's is the
-    identity, and the other operand (negated for ``0 - y``) is returned as is.
     A one-term ``y`` at the leading exponent of ``x``, the shape of every
-    correction step's image, is added at the head: one exponent comparison,
-    one coefficient sum (of the negated coefficient for a subtrahend) and
-    its zero test, and the rest of ``x`` as one slice.  Otherwise the merge
-    walks the shorter operand and places each of its exponents in the
+    correction step's image, is tried first, and only over the very field
+    and value group objects of ``x``, so it needs no ``_like``: it is added
+    at the head with one exponent comparison, one coefficient sum (of the
+    negated coefficient for a subtrahend) and its zero test, and the rest of
+    ``x`` as one slice.  Otherwise the operands are checked alike, and an
+    empty operand whose truncation is not below the other's is the identity:
+    the other operand (negated for ``0 - y``) is returned as is.  Else the
+    merge walks the shorter operand and places each of its exponents in the
     longer one (past the end or at the cursor, else by bisection), so the
     runs in between are copied as slices; only coefficients at shared
-    exponents are added and tested for zero.  A subtrahend is negated
-    first.  The tail after the last placed term is one slice.  Either way
-    the result is cut at the smaller truncation, compared only when neither
-    side is exact.
+    exponents are added and tested for zero.  A subtrahend is negated first.
+    The tail after the last placed term is one slice.  Either way the result
+    is cut at the smaller truncation, compared only when neither side is exact.
     """
-    x._like(y)
-    if not y.terms and (y.truncation.is_infinite or x.truncation <= y.truncation):
-        return x
-    if not x.terms and (x.truncation.is_infinite or y.truncation <= x.truncation):
-        return y.neg() if negate else y
-    field = x.field
-    if len(y.terms) == 1 and x.terms and y.terms[0].exponent == x.terms[0].exponent:
-        (a, g), (b, _) = x.terms[0], y.terms[0]
+    field, xs, ys = x.field, x.terms, y.terms
+    same_kind = y.field is field and y.group is x.group
+    if same_kind and len(ys) == 1 and xs and ys[0][1] == xs[0][1]:
+        (a, g), (b, _) = xs[0], ys[0]
         c = field.add(a, field.neg(b) if negate else b)
-        terms = x.terms[1:] if field.is_zero(c) else (Term(c, g),) + x.terms[1:]
+        terms = xs[1:] if field.is_zero(c) else (Term(c, g),) + xs[1:]
     else:
-        terms = _walk(field, x.terms, y.terms, negate)
+        x._like(y)
+        if not ys and (y.truncation.finite is None or x.truncation <= y.truncation):
+            return x
+        if not xs and (x.truncation.finite is None or y.truncation <= x.truncation):
+            return y.neg() if negate else y
+        terms = _walk(field, xs, ys, negate)
     xt, yt = x.truncation, y.truncation
-    truncation = xt if yt.is_infinite else yt if xt.is_infinite else min(xt, yt)
-    return _trusted(field, x.group, _below(terms, truncation), truncation)
+    truncation = xt if yt.finite is None else yt if xt.finite is None else min(xt, yt)
+    if truncation.finite is not None:
+        terms = _below(terms, truncation)
+    return _trusted(field, x.group, terms, truncation)
 
 
 def _walk(
@@ -303,13 +308,13 @@ class SeriesSpace(ValuedGroup):
         return _trusted(self.field, self.group, (), INFINITY)
 
     def add(self, a: Series, b: Series) -> Series:
-        return a.add(b)
+        return _merge(a, b, negate=False)
 
     def neg(self, a: Series) -> Series:
         return a.neg()
 
     def sub(self, a: Series, b: Series) -> Series:
-        return a.sub(b)
+        return _merge(a, b, negate=True)
 
     def total(self, parts: Sequence[Series]) -> Series:
         """The sum of ``parts``.  When their terms strictly ascend from part

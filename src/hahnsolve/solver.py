@@ -11,6 +11,12 @@ the requested precision, or reports a meaningful failure: the oracle got stuck
 iteration budget ran out (``IterationLimit``, possible over dense value groups
 where strict increase does not force escape).
 
+A step pays for its parts and little else: it calls the section, the map,
+the codomain's ``sub`` and its ``valuation`` once each (bound once per
+solve), compares two values and records a ``TraceStep`` named tuple.  No
+part is trusted: the new residual is always the old one less the map's
+image of the correction, and its value is read afresh.
+
 Alongside the loop live sample-based checks for the hypotheses the method
 rests on: the induced map on values is well defined and strictly order
 preserving, value comparisons transfer through ``f``, and the section really
@@ -24,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import (
     IndeterminateValuation,
@@ -81,9 +87,11 @@ def identity_value_map() -> ValueMap:
     return ValueMap(forward=ident, inverse=ident, domain_contains=lambda _v: True)
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One correction: 1-based index, residual value after it, term added."""
+class TraceStep(NamedTuple):
+    """One correction: 1-based index, residual value after it, term added.
+
+    A named tuple, so the step that records it runs no dataclass ``__init__``.
+    """
 
     iteration: int
     residual_value: OrderedValue
@@ -97,14 +105,6 @@ class SolveResult:
     iterations: int
     exact: bool
     trace: tuple[TraceStep, ...]
-
-
-def _value_or_bound(space: ValuedGroup, element: Any) -> tuple[OrderedValue, bool]:
-    """Valuation and whether it is exact; otherwise its certified lower bound."""
-    try:
-        return space.valuation(element), True
-    except IndeterminateValuation as e:
-        return e.bound, False
 
 
 def solve(
@@ -122,12 +122,17 @@ def solve(
     when the final residual is only known up to its own precision.  The
     solution is built once, as the domain's ``total`` of the corrections.
     """
-    codomain, apply, correct = spec.codomain, spec.apply, section.section
+    apply, correct = spec.apply, section.section
+    sub, valuation = spec.codomain.sub, spec.codomain.valuation
     residual = b
     trace: list[TraceStep] = []
-    value, determined = _value_or_bound(codomain, residual)
+    determined = True
+    try:
+        value = valuation(residual)
+    except IndeterminateValuation as e:
+        value, determined = e.bound, False
     while True:
-        exact = determined and value.is_infinite
+        exact = determined and value.finite is None
         if exact or value >= precision:
             solution = spec.domain.total([step.term for step in trace])
             return SolveResult(solution, value, len(trace), exact, tuple(trace))
@@ -143,8 +148,11 @@ def solve(
         except SectionFailure as e:
             e.residual = residual
             raise
-        new_residual = codomain.sub(residual, apply(s))
-        new_value, determined = _value_or_bound(codomain, new_residual)
+        new_residual = sub(residual, apply(s))
+        try:
+            new_value = valuation(new_residual)
+        except IndeterminateValuation as e:
+            new_value, determined = e.bound, False
         if not new_value > value:
             raise NoProgress(
                 f"correction did not raise the residual value ({value!r} -> {new_value!r})"

@@ -39,12 +39,15 @@ def test_script_exits_zero(argv, monkeypatch):
 
 
 def test_integrate_scaling_matches_the_oracle_at_small_sizes(capsys):
-    """One timing per size, so the median is that timing: sizes and agreement
-    only, as the machine's speed is not the script's to assert."""
+    """One timing per size, so the median is that timing: sizes, agreement and
+    a positive step cost only, as the machine's speed is not the script's to
+    assert."""
     script = runpy.run_path(str(SCRIPTS / "integrate_scaling.py"))
     assert script["main"]((3, 6, 24), repeat=1) == 0
-    rows = capsys.readouterr().out.splitlines()[1:]
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[-1] == "step_us"
     assert [int(row.split()[0]) for row in rows] == [3, 6, 24]
+    assert all(float(row.split()[-1]) > 0 for row in rows)
     assert len(script["dense_target"](24, seed=24).terms) == 24
 
 

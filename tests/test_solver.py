@@ -219,6 +219,97 @@ class TestSolveSumsOnce:
         assert str(result.solution) == "t^1 + t^2"
 
 
+class CountingCodomain(hs.ValuedGroup):
+    """``inner`` with its calls of ``sub`` and ``valuation`` counted in ``calls``."""
+
+    def __init__(self, inner, calls):
+        self.inner, self.group, self.calls = inner, inner.group, calls
+
+    @property
+    def zero(self):
+        return self.inner.zero
+
+    def add(self, a, b):
+        return self.inner.add(a, b)
+
+    def neg(self, a):
+        return self.inner.neg(a)
+
+    def sub(self, a, b):
+        self.calls["sub"] += 1
+        return self.inner.sub(a, b)
+
+    def valuation(self, a):
+        self.calls["valuation"] += 1
+        return self.inner.valuation(a)
+
+
+def _counting(spec, section, calls, doubled=False):
+    """``spec`` and ``section`` with the calls the solver makes of them counted;
+    ``doubled`` makes the map twice what it is, so the section is still the
+    true inverse but no longer of this map."""
+
+    def counted(name, fn):
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+
+        return call
+
+    codomain = CountingCodomain(spec.codomain, calls)
+    apply = spec.apply
+    if doubled:
+        apply = lambda s: spec.codomain.add(spec.apply(s), spec.apply(s))
+    return (
+        hs.HomomorphismSpec(spec.domain, codomain, counted("apply", apply)),
+        hs.AsymptoticSection(counted("section", section.section), section.contains),
+    )
+
+
+class TestSolveTrustsNoPart:
+    """Each step calls the section, the map, the codomain's ``sub`` and its
+    ``valuation`` once; the target's valuation is the one call more.  No
+    step takes the section's word for the image of its correction: a map
+    that is not the one the section inverts is caught at step 1."""
+
+    EXPONENTS = [-3, -2, 1, 2, 3, 4, 5, 8, 9, 10]
+
+    def _run(self, monkeypatch, entry, calls, doubled):
+        b = QZ.series([(g % 5 + 1, g) for g in self.EXPONENTS])
+        if entry == "integrate":
+            build = hs.differential.integration_instance
+            monkeypatch.setattr(
+                hs.differential,
+                "integration_instance",
+                lambda dspec: (*_counting(*build(dspec)[:2], calls, doubled), None),
+            )
+            dspec = hs.DifferentialFieldSpec(hs.QQ, hs.INTEGERS, hs.ddt(hs.QQ, hs.INTEGERS))
+            return hs.integrate(dspec, b)
+        build = hs.pseudo_direct.decomposition_instance
+        monkeypatch.setattr(
+            hs.pseudo_direct,
+            "decomposition_instance",
+            lambda family, space: _counting(*build(family, space), calls, doubled),
+        )
+        family = [hs.parse_subgroup(hs.QQ, hs.INTEGERS, f"mod:3:{r}") for r in range(3)]
+        return hs.decompose_solve(family, b)
+
+    @pytest.mark.parametrize("entry", ["integrate", "decompose_solve"])
+    def test_each_step_calls_each_part_once(self, monkeypatch, entry):
+        calls = dict.fromkeys(["section", "apply", "sub", "valuation"], 0)
+        result = self._run(monkeypatch, entry, calls, doubled=False)
+        n = len(self.EXPONENTS)
+        assert result.exact and result.iterations == n
+        assert calls == {"section": n, "apply": n, "sub": n, "valuation": n + 1}
+
+    @pytest.mark.parametrize("entry", ["integrate", "decompose_solve"])
+    def test_a_wrong_map_is_caught_at_step_one(self, monkeypatch, entry):
+        calls = dict.fromkeys(["section", "apply", "sub", "valuation"], 0)
+        with pytest.raises(hs.NoProgress):
+            self._run(monkeypatch, entry, calls, doubled=True)
+        assert calls == {"section": 1, "apply": 1, "sub": 1, "valuation": 2}
+
+
 class TestTraceJson:
     def test_json_lines(self, euler_parts):
         spec, section, _ = euler_parts

@@ -15,6 +15,8 @@ tracer's ``fields.*`` counters see per step or per checked pair is fixed.
 """
 
 import ast
+import functools
+import gc
 import importlib.util
 import random
 import re
@@ -315,3 +317,66 @@ def test_field_work_per_leibniz_pair_is_pinned(monkeypatch, field):
     calls.clear()
     assert hahnsolve.check_leibniz(dspec, [(a, b)]).ok
     assert calls == LEIBNIZ_FIELD_WORK
+
+
+def _python_calls(fn) -> int:
+    """The ``"call"`` events ``sys.setprofile`` sees while ``fn`` runs: one
+    per Python-level function entered, none for a builtin or a C method.
+    The collector is paused, so no ``gc.callbacks`` entry (Hypothesis
+    installs one) lands in the count."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            count += 1
+
+    previous, collecting = sys.getprofile(), gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+        if collecting:
+            gc.enable()
+    return count
+
+
+# Python-level calls per correction step on CPython 3.11, by case; the parent
+# of this pin read QQ ddt 63, QQ euler 61, GF(7) ddt 47, GF(7) euler 45,
+# QQ mod:3 43 and GF(7) mod:3 38.
+STEP_CALLS = {
+    ("rationals", "ddt"): 41,
+    ("rationals", "euler"): 41,
+    ("gf(7)", "ddt"): 36,
+    ("gf(7)", "euler"): 36,
+    ("rationals", "mod:3"): 30,
+    ("gf(7)", "mod:3"): 26,
+}
+
+
+@pytest.mark.parametrize("field", [hahnsolve.QQ, hahnsolve.PrimeField(7)], ids=str)
+@pytest.mark.parametrize("name", ["ddt", "euler", "mod:3"])
+def test_interpreter_work_per_step_is_pinned(field, name):
+    """Python-level calls of one exact correction step, counted on CPython 3.11
+    as the calls of a 10-term solve less those of a 4-term one (set-up and
+    the final sum cancel), must not grow.  An interpreter that inlines more
+    (comprehensions on 3.12) counts fewer."""
+    group = hahnsolve.INTEGERS
+    exponents = [-3, -2, 1, 2, 3, 4, 5, 8, 9, 10]
+    space = hahnsolve.SeriesSpace(field, group)
+    if name == "mod:3":
+        family = [hahnsolve.parse_subgroup(field, group, f"mod:3:{r}") for r in range(3)]
+        solve = functools.partial(hahnsolve.decompose_solve, family)
+    else:
+        derivation = getattr(hahnsolve, name)(field, group)
+        dspec = hahnsolve.DifferentialFieldSpec(field, group, derivation)
+        solve = functools.partial(hahnsolve.integrate, dspec)
+    calls = {}
+    for n in (10, 4):
+        b = space.series([(g % 5 + 1, g) for g in exponents[:n]])
+        assert solve(b).iterations == n  # also warms every path up
+        calls[n] = _python_calls(functools.partial(solve, b))
+    steps = calls[10] - calls[4]
+    assert steps <= 6 * STEP_CALLS[(field.name, name)], steps / 6
