@@ -3,7 +3,7 @@
 Rationals are ``fractions.Fraction`` values in lowest terms with a positive
 denominator, built by one exact kernel below: ``RationalField`` and the
 ``rat`` value group do their arithmetic on numerator and denominator through
-it, not through ``Fraction``'s operators.
+it, not through ``Fraction``'s operators, and read and print through it too.
 """
 
 from __future__ import annotations
@@ -35,13 +35,18 @@ def parse_number(text: str, what: str, integer: bool = False) -> int | Fraction:
         raise ParseError(f"bad {what} {text!r} (want {form})")
     if m[2] is None:
         return int(m[1])
-    if int(m[2]) == 0:
+    n, d = int(m[1]), int(m[2])
+    if not d:
         raise ParseError(f"zero denominator in {what} {text!r}")
-    return Fraction(int(m[1]), int(m[2]))
+    g = gcd(n, d)  # d > 0, so n/g over d/g is in lowest terms
+    return _q(n // g, d // g)
 
 
 def _split_top_level(text: str, sep: str) -> list[str]:
-    """Split on ``sep`` outside any parentheses or braces."""
+    """Split on ``sep`` outside any parentheses or braces; a text with no
+    bracket is split by ``str.split``, which gives the same pieces."""
+    if not ("(" in text or ")" in text or "{" in text or "}" in text):
+        return text.split(sep)
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch in "({":
@@ -89,6 +94,15 @@ def _q_of(x) -> Fraction:
         q._denominator = 1
         return q
     return Fraction(x)
+
+
+def _q_str(a) -> str:
+    """``str(a)`` for a rational, read from a ``Fraction``'s slots rather than
+    through its Python-level ``__str__``; any other value is ``str``'d."""
+    if type(a) is not Fraction:
+        return str(a)
+    n, d = a._numerator, a._denominator
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _q_add(a, b) -> Fraction:
@@ -228,8 +242,11 @@ class RationalField(CoefficientField):
     def inv(self, a):
         return _q_inv(a)
 
-    def format(self, a):
-        return str(a)
+    def parse(self, text):
+        # QQ's coerce refuses nothing, so no refusal wrapper is needed
+        return _q_of(parse_number(text, "coefficient"))
+
+    format = staticmethod(_q_str)
 
     # the kernel's reader itself, with no method frame around it: the power
     # rule's scale is ``coerce``, three calls per correction step

@@ -10,10 +10,12 @@ Grammar (whitespace insignificant):
 
 Every number (coefficient, scalar exponent, modulus), in text and in JSON,
 is read by ``fields.parse_number``, so ``1.5``, ``1e1``, ``1_0`` and
-non-ASCII digits are refused.  The printer emits a canonical form: terms
-ascending, a unit coefficient dropped before ``t^``, exponent-zero terms
-printed as bare coefficients, and the bound last.  Every printed series
-re-parses to an equal series.
+non-ASCII digits are refused; a ``/`` number is built in lowest terms by the
+rational kernel, not by ``Fraction``'s constructor.  The printer emits a
+canonical form: terms ascending, a unit coefficient dropped before ``t^``,
+exponent-zero terms printed as bare coefficients, and the bound last.  It
+tells the unit and zero cases by the formatted text, which formats make
+unambiguous.  Every printed series re-parses to an equal series.
 """
 
 from __future__ import annotations
@@ -30,52 +32,57 @@ def parse_series(field: CoefficientField, group: ValueGroup, text: str) -> Serie
     """Parse the series grammar; raises ``ParseError`` on any deviation."""
     if not text.strip():
         raise ParseError("empty series text")
-    terms = []
-    truncation = INFINITY
     tokens = _split_top_level(text, "+")
-    for i, raw in enumerate(tokens):
+    last = tokens[-1].strip()
+    bound = None
+    if last.startswith("O(") and last.endswith(")"):
+        bound = last[2:-1]  # read after the terms, so an earlier bad term is reported first
+        tokens.pop()
+    parse_coeff, parse_exp, one, zero = field.parse, group.parse, field.one, group.zero
+    terms = []
+    for raw in tokens:
         tok = raw.strip()
-        if not tok:
-            raise ParseError(f"empty term in {text!r}")
         if tok.startswith("O(") and tok.endswith(")"):
-            if i != len(tokens) - 1:
-                raise ParseError("truncation bound must be the last term")
-            truncation = OrderedValue(group.parse(tok[2:-1]))
+            raise ParseError("truncation bound must be the last term")
+        head, t_hat, exp_text = tok.partition("t^")
+        if not t_hat:
+            if not tok:
+                raise ParseError(f"empty term in {text!r}")
+            terms.append((parse_coeff(tok), zero))
             continue
-        terms.append(_parse_term(field, group, tok))
+        head = head.rstrip()
+        if not head:
+            coeff = one
+        elif head.endswith("*"):
+            coeff = parse_coeff(head[:-1])
+        else:
+            raise ParseError(f"bad term {tok!r} (want coeff*t^exp or t^exp)")
+        terms.append((coeff, parse_exp(exp_text)))
+    truncation = INFINITY if bound is None else OrderedValue(parse_exp(bound))
     return make_series(field, group, terms, truncation)
 
 
-def _parse_term(field: CoefficientField, group: ValueGroup, tok: str):
-    if "t^" in tok:
-        head, _, exp_text = tok.partition("t^")
-        head = head.strip()
-        if head == "":
-            coeff = field.one
-        elif head.endswith("*"):
-            coeff = field.parse(head[:-1])
-        else:
-            raise ParseError(f"bad term {tok!r} (want coeff*t^exp or t^exp)")
-        return (coeff, group.parse(exp_text))
-    return (field.parse(tok), group.zero)
-
-
 def series_to_text(s: Series) -> str:
-    parts = [_term_text(s, c, g) for c, g in s.terms]
+    """The canonical text.  Formats are injective (every printed series
+    re-parses to an equal one), so a unit coefficient and the zero exponent
+    are recognised by their formatted text."""
+    field, group = s.field, s.group
+    format_coeff, format_exp = field.format, group.format
+    unit, origin = format_coeff(field.one), format_exp(group.zero)
+    parts = []
+    for c, g in s.terms:
+        coeff, exp = format_coeff(c), format_exp(g)
+        if exp == origin:
+            parts.append(coeff)
+        elif coeff == unit:
+            parts.append(f"t^{exp}")
+        else:
+            parts.append(f"{coeff}*t^{exp}")
     if not parts:
         parts = ["0"]
-    if not s.truncation.is_infinite:
-        parts.append(f"O({s.group.format(s.truncation.finite)})")
+    if s.truncation.finite is not None:
+        parts.append(f"O({format_exp(s.truncation.finite)})")
     return " + ".join(parts)
-
-
-def _term_text(s: Series, coeff, exponent) -> str:
-    if exponent == s.group.zero:
-        return s.field.format(coeff)
-    body = f"t^{s.group.format(exponent)}"
-    if coeff == s.field.one:
-        return body
-    return f"{s.field.format(coeff)}*{body}"
 
 
 def series_to_json_dict(s: Series) -> dict:

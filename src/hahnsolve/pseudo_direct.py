@@ -183,9 +183,12 @@ class ProductGroup(ValuedGroup):
 
     def total(self, parts: Sequence[ProductElement]) -> ProductElement:
         """Each space's ``total`` of its components; a part of another width is refused."""
-        if any(len(p.components) != len(self.spaces) for p in parts):
-            raise ValueError(f"product parts must have {len(self.spaces)} components")
-        columns = zip(*(p.components for p in parts)) if parts else [()] * len(self.spaces)
+        width = len(self.spaces)
+        rows = [p.components for p in parts]
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"product parts must have {width} components")
+        columns = zip(*rows) if rows else [()] * width
         return ProductElement(tuple(sp.total(c) for sp, c in zip(self.spaces, columns)))
 
     def valuation(self, a: ProductElement) -> OrderedValue:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import ParseError
-from .fields import _Q_ZERO, _q_add, _q_neg, _q_of, _split_top_level, parse_number
+from .fields import _Q_ZERO, _q_add, _q_neg, _q_of, _q_str, _split_top_level, parse_number
 
 GroupElement = Any
 
@@ -89,8 +89,8 @@ class IntegerGroup(ValueGroup):
 
 @dataclass(frozen=True, repr=False)
 class RationalGroup(ValueGroup):
-    """Exponents are ``Fraction``s; sums and negatives come from the fields
-    module's rational kernel, as QQ's do."""
+    """Exponents are ``Fraction``s; sums, negatives and text come from the
+    fields module's rational kernel, as QQ's do."""
 
     name = "rat"
 
@@ -110,8 +110,7 @@ class RationalGroup(ValueGroup):
     def parse(self, text):
         return _q_of(parse_number(text, "rational exponent"))
 
-    def format(self, a):
-        return str(a)
+    format = staticmethod(_q_str)
 
 
 @dataclass(frozen=True, repr=False)

@@ -9,6 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hahnsolve as hs
+from hahnsolve.fields import _split_top_level, parse_number
+
+from .test_parsing import REFERENCE
 
 
 class TestRationalField:
@@ -85,6 +88,44 @@ class TestRationalKernel:
     def test_group_parses_to_a_fraction(self, text):
         value = hs.RATIONALS.parse(text)
         assert value == Fraction(text) and _canonical(value)
+
+    @given(_INTEGERS, st.integers(1, 6) | st.integers(2**64, 2**80))
+    def test_reader_builds_a_slash_number_in_lowest_terms(self, n, d):
+        for text in (f"{n}/{d}", f" {n}/{d} "):
+            value, reference = parse_number(text, "n"), Fraction(n, d)
+            assert value == reference and _canonical(value)
+            assert (hash(value), repr(value)) == (hash(reference), repr(reference))
+
+    @pytest.mark.parametrize("text", ["0/5", "-0/3", "-6/4", "+9/3", f"{2**65 * 3}/6"])
+    def test_reader_reduces_zero_negatives_and_large_numerators(self, text):
+        n, d = text.split("/")
+        value = parse_number(text, "n")
+        assert value == Fraction(int(n), int(d)) and _canonical(value)
+        assert repr(value) == repr(Fraction(int(n), int(d)))
+
+    @given(_OPERANDS)
+    def test_formatters_print_as_str(self, x):
+        assert hs.QQ.format(x) == hs.RATIONALS.format(x) == str(x)
+        assert hs.QQ.format(Fraction(x)) == str(Fraction(x))
+
+
+class TestSplitTopLevel:
+    """A text with no bracket is split by ``str.split``; it must give the
+    pieces the bracket-depth loop gives, empty ones included."""
+
+    @pytest.mark.parametrize("text", ["a++b", "+a", "a+", "+", "", "a + b", "a,b+c"])
+    def test_bracket_free_text_splits_as_the_loop(self, text):
+        assert _split_top_level(text, "+") == REFERENCE.split_top_level(text, "+")
+
+    @given(st.text("ab+, ", max_size=12), st.sampled_from("+,"))
+    def test_bracket_free_text_splits_as_the_loop_sampled(self, text, sep):
+        assert _split_top_level(text, sep) == REFERENCE.split_top_level(text, sep)
+
+    def test_brackets_still_nest(self):
+        assert _split_top_level("(a,b),{c,d},e", ",") == ["(a,b)", "{c,d}", "e"]
+        for bad in ("(a,b", "a)", "}{"):
+            with pytest.raises(hs.ParseError, match="unbalanced brackets"):
+                _split_top_level(bad, ",")
 
 
 class TestPrimeField:

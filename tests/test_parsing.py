@@ -1,9 +1,12 @@
-"""Series text grammar and JSON round-trips."""
+"""Series text grammar and JSON round-trips, and the text reader and printer
+against a plain reference implementation of both."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import hahnsolve as hs
 
@@ -262,3 +265,236 @@ class TestNumberGrammar:
             parse_number("3/0", "n")
         with pytest.raises(hs.ParseError, match=r"^bad exponent '5/2' \(want integer\)$"):
             parse_number("5/2", "exponent", integer=True)
+
+
+# -- the text layer against its reference ----------------------------------
+
+
+class REFERENCE:
+    """The series reader and printer in their plain form: every number read
+    through ``strip``, a regex and ``Fraction(n, d)``, every text split by
+    the bracket-depth loop, each term read by its own function and printed
+    by one that tests ``coeff == one`` and ``exponent == zero``.  Only
+    ``make_series`` and the fields' ``coerce`` come from the package."""
+
+    NUMBER_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+    @classmethod
+    def parse_number(cls, text, what, integer=False):
+        m = cls.NUMBER_RE.fullmatch(text.strip())
+        if m is None or (integer and m[2] is not None):
+            form = "integer" if integer else "integer or integer/positive-integer"
+            raise hs.ParseError(f"bad {what} {text!r} (want {form})")
+        if m[2] is None:
+            return int(m[1])
+        if int(m[2]) == 0:
+            raise hs.ParseError(f"zero denominator in {what} {text!r}")
+        return Fraction(int(m[1]), int(m[2]))
+
+    @staticmethod
+    def split_top_level(text, sep):
+        parts, depth, start = [], 0, 0
+        for i, ch in enumerate(text):
+            if ch in "({":
+                depth += 1
+            elif ch in ")}":
+                depth -= 1
+                if depth < 0:
+                    raise hs.ParseError(f"unbalanced brackets in {text!r}")
+            elif ch == sep and depth == 0:
+                parts.append(text[start:i])
+                start = i + 1
+        if depth != 0:
+            raise hs.ParseError(f"unbalanced brackets in {text!r}")
+        parts.append(text[start:])
+        return parts
+
+    @classmethod
+    def coefficient(cls, field, text):
+        n = cls.parse_number(text, "coefficient")
+        try:
+            return field.coerce(n)
+        except hs.ParseError as e:
+            raise hs.ParseError(f"bad coefficient {text!r}: {e}") from None
+
+    @classmethod
+    def exponent(cls, group, text):
+        if group is hs.INTEGERS:
+            return cls.parse_number(text, "integer exponent", integer=True)
+        if group is hs.RATIONALS:
+            return Fraction(cls.parse_number(text, "rational exponent"))
+        text = text.strip()
+        parts = cls.split_top_level(text[1:-1], ",") if text[:1] + text[-1:] == "()" else []
+        if len(parts) != 2:
+            raise hs.ParseError(f"lex pair must be (left,right): {text!r}")
+        return (cls.exponent(group.left, parts[0]), cls.exponent(group.right, parts[1]))
+
+    @staticmethod
+    def coefficient_text(field, c):
+        return str(c) if field is hs.QQ else str(c % field.p)
+
+    @classmethod
+    def exponent_text(cls, group, g):
+        if group is hs.LEX2:
+            return f"({cls.exponent_text(group.left, g[0])},{cls.exponent_text(group.right, g[1])})"
+        return str(g)
+
+    @classmethod
+    def parse_series(cls, field, group, text):
+        if not text.strip():
+            raise hs.ParseError("empty series text")
+        terms = []
+        truncation = hs.INFINITY
+        tokens = cls.split_top_level(text, "+")
+        for i, raw in enumerate(tokens):
+            tok = raw.strip()
+            if not tok:
+                raise hs.ParseError(f"empty term in {text!r}")
+            if tok.startswith("O(") and tok.endswith(")"):
+                if i != len(tokens) - 1:
+                    raise hs.ParseError("truncation bound must be the last term")
+                truncation = hs.OrderedValue(cls.exponent(group, tok[2:-1]))
+                continue
+            terms.append(cls.parse_term(field, group, tok))
+        return hs.make_series(field, group, terms, truncation)
+
+    @classmethod
+    def parse_term(cls, field, group, tok):
+        if "t^" in tok:
+            head, _, exp_text = tok.partition("t^")
+            head = head.strip()
+            if head == "":
+                coeff = field.one
+            elif head.endswith("*"):
+                coeff = cls.coefficient(field, head[:-1])
+            else:
+                raise hs.ParseError(f"bad term {tok!r} (want coeff*t^exp or t^exp)")
+            return (coeff, cls.exponent(group, exp_text))
+        return (cls.coefficient(field, tok), group.zero)
+
+    @classmethod
+    def series_to_text(cls, s):
+        parts = [cls.term_text(s, c, g) for c, g in s.terms]
+        if not parts:
+            parts = ["0"]
+        if not s.truncation.is_infinite:
+            parts.append(f"O({cls.exponent_text(s.group, s.truncation.finite)})")
+        return " + ".join(parts)
+
+    @classmethod
+    def term_text(cls, s, coeff, exponent):
+        if exponent == s.group.zero:
+            return cls.coefficient_text(s.field, coeff)
+        body = f"t^{cls.exponent_text(s.group, exponent)}"
+        if coeff == s.field.one:
+            return body
+        return f"{cls.coefficient_text(s.field, coeff)}*{body}"
+
+
+TEXT_FIELDS = [hs.QQ, hs.PrimeField(5), hs.PrimeField(7)]
+SPACE = st.sampled_from(["", "", " ", "  ", "\t"])
+# the grammar's alphabet, space included
+ALPHABET = "0123456789+-*/^tO(), "
+
+
+# coefficient text: an integer, a few beyond 2**64, or n/d of those
+_INTEGERS = st.integers(-9, 9) | st.integers(2**64, 2**66) | st.integers(-(2**66), -(2**64))
+COEFFICIENTS = _INTEGERS.map(str) | st.builds("{}/{}".format, _INTEGERS, st.integers(1, 12))
+
+
+def _exponents(group):
+    if group is hs.INTEGERS:
+        return st.integers(-4, 4).map(str)
+    if group is hs.RATIONALS:
+        return st.integers(-4, 4).map(str) | st.builds(
+            "{}/{}".format, st.integers(-8, 8), st.integers(1, 4)
+        )
+    pair = st.tuples(SPACE, _exponents(group.left), SPACE, SPACE, _exponents(group.right), SPACE)
+    return pair.map(lambda p: "({}{}{},{}{}{})".format(*p))
+
+
+@st.composite
+def series_texts(draw):
+    """A field, a group and a text of the grammar over them: terms in any
+    order, repeated exponents, zero coefficients, bare ``t^e`` terms and
+    constants, whitespace around every token and an optional bound."""
+    field = draw(st.sampled_from(TEXT_FIELDS))
+    group = draw(st.sampled_from([hs.INTEGERS, hs.RATIONALS, hs.LEX2]))
+    exponents = _exponents(group)
+
+    def space():
+        return draw(SPACE)
+
+    terms = []
+    for kind in draw(st.lists(st.sampled_from(["scaled", "bare", "constant"]), max_size=8)):
+        if kind == "constant":
+            terms.append(draw(COEFFICIENTS))
+        else:
+            coeff = f"{draw(COEFFICIENTS)}{space()}*{space()}" if kind == "scaled" else ""
+            terms.append(f"{coeff}t^{space()}{draw(exponents)}")
+    if draw(st.booleans()):
+        terms.append(f"O({space()}{draw(exponents)}{space()})")
+    text = space() + "".join(f"{space()}+{space()}{t}" if i else t for i, t in enumerate(terms))
+    return field, group, text + space()
+
+
+@st.composite
+def mutated_texts(draw):
+    """A drawn text with one character inserted, deleted or replaced by one
+    of the grammar's alphabet."""
+    field, group, text = draw(series_texts())
+    at = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(ALPHABET))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if edit == "insert":
+        text = text[:at] + char + text[at:]
+    else:
+        text = text[:at] + (char if edit == "replace" else "") + text[at + 1 :]
+    return field, group, text
+
+
+def _read(parse, field, group, text):
+    try:
+        return parse(field, group, text)
+    except Exception as e:  # the kind and message are compared, whatever they are
+        return (type(e), str(e))
+
+
+def _assert_reads_as_the_reference(field, group, text):
+    want = _read(REFERENCE.parse_series, field, group, text)
+    got = _read(hs.parse_series, field, group, text)
+    if isinstance(want, hs.Series):
+        assert isinstance(got, hs.Series), got
+        assert got.field is field and got.group is group
+        assert got == want and repr(got) == repr(want)
+        assert hs.series_to_text(got) == REFERENCE.series_to_text(got)
+    else:
+        assert got == want
+
+
+class TestAgainstReference:
+    @given(series_texts())
+    def test_valid_texts_read_and_print_as_the_reference(self, case):
+        _assert_reads_as_the_reference(*case)
+
+    @given(mutated_texts())
+    def test_mutated_texts_read_or_fail_as_the_reference(self, case):
+        _assert_reads_as_the_reference(*case)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "O(2) + t^3",
+            "t^1 + O(t^2) + 3",
+            "t^1 + 2*O(3)",
+            "bad + O(x)",
+            "1/0 + 2*t^1",
+            "t^(1,2",
+            "(1) + t^2)",
+            "3 *t^2 + t^ 4 + -1/2 * t^1",
+        ],
+    )
+    def test_edge_texts_read_as_the_reference(self, text):
+        for field in TEXT_FIELDS:
+            for group in (hs.INTEGERS, hs.RATIONALS, hs.LEX2):
+                _assert_reads_as_the_reference(field, group, text)

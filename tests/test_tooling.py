@@ -12,6 +12,8 @@ assumption is pinned here, and no other module may touch the slots.  The
 normaliser's traffic is pinned too: a drawn series and a product each reach
 ``make_series`` once, with a list of plain pairs, and the field work the
 tracer's ``fields.*`` counters see per step or per checked pair is fixed.
+So is the interpreter work of a correction step and of a parsed or printed
+term.
 """
 
 import ast
@@ -345,14 +347,15 @@ def _python_calls(fn) -> int:
 
 # Python-level calls per correction step on CPython 3.11, by case; the parent
 # of this pin read QQ ddt 63, QQ euler 61, GF(7) ddt 47, GF(7) euler 45,
-# QQ mod:3 43 and GF(7) mod:3 38.
+# QQ mod:3 43 and GF(7) mod:3 38 (30 and 26 before ``ProductGroup.total``
+# lost its two per-part generators).
 STEP_CALLS = {
     ("rationals", "ddt"): 41,
     ("rationals", "euler"): 41,
     ("gf(7)", "ddt"): 36,
     ("gf(7)", "euler"): 36,
-    ("rationals", "mod:3"): 30,
-    ("gf(7)", "mod:3"): 26,
+    ("rationals", "mod:3"): 28,
+    ("gf(7)", "mod:3"): 24,
 }
 
 
@@ -380,3 +383,53 @@ def test_interpreter_work_per_step_is_pinned(field, name):
         calls[n] = _python_calls(functools.partial(solve, b))
     steps = calls[10] - calls[4]
     assert steps <= 6 * STEP_CALLS[(field.name, name)], steps / 6
+
+
+def _pinned_text(n: int, group) -> str:
+    """``n`` terms with distinct exponents, the fourth at zero and the seventh
+    with a unit coefficient; every other term has a ``/`` coefficient and,
+    over ``rat``, a ``/`` exponent."""
+    terms = []
+    for i in range(n):
+        coeff = "1" if i == 6 else f"{i + 1}/3" if i % 2 else f"-{i + 2}"
+        exp = f"{2 * i - 5}/2" if group is hahnsolve.RATIONALS and i % 2 else str(i - 3)
+        terms.append(f"{coeff}*t^{exp}")
+    return " + ".join(terms)
+
+
+# Python-level calls per term of the text layer on CPython 3.11, by
+# (direction, field, group); the parent of this pin read print QQ int 8.75,
+# QQ rat 12.75, GF(7) int 4.5, GF(7) rat 8.5 and parse QQ int 9.5, QQ rat
+# 19, GF(7) int 13, GF(7) rat 22.5 on these texts.
+TEXT_CALLS = {
+    ("print", "rationals", "int"): 2,
+    ("print", "rationals", "rat"): 2,
+    ("print", "gf(7)", "int"): 2,
+    ("print", "gf(7)", "rat"): 2,
+    ("parse", "rationals", "int"): 8.5,
+    ("parse", "rationals", "rat"): 18,
+    ("parse", "gf(7)", "int"): 12,
+    ("parse", "gf(7)", "rat"): 21.5,
+}
+
+
+@pytest.mark.parametrize("group", [hahnsolve.INTEGERS, hahnsolve.RATIONALS], ids=str)
+@pytest.mark.parametrize("field", [hahnsolve.QQ, hahnsolve.PrimeField(7)], ids=str)
+@pytest.mark.parametrize("direction", ["parse", "print"])
+def test_interpreter_work_per_text_term_is_pinned(direction, field, group):
+    """Python-level calls per term of ``parse_series`` or ``series_to_text``,
+    counted on CPython 3.11 as those of an 8-term text less those of a
+    4-term one (the fixed cost cancels), must not grow."""
+    calls = {}
+    for n in (8, 4):
+        text = _pinned_text(n, group)
+        s = hahnsolve.parse_series(field, group, text)
+        assert len(s.terms) == n
+        if direction == "parse":
+            run = functools.partial(hahnsolve.parse_series, field, group, text)
+        else:
+            assert hahnsolve.parse_series(field, group, hahnsolve.series_to_text(s)) == s
+            run = functools.partial(hahnsolve.series_to_text, s)
+        calls[n] = _python_calls(run)
+    per_term = (calls[8] - calls[4]) / 4
+    assert per_term <= TEXT_CALLS[(direction, field.name, group.name)], per_term
