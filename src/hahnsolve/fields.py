@@ -313,7 +313,7 @@ class PrimeField(CoefficientField):
         return str(a % self.p)
 
     def coerce(self, n):
-        if isinstance(n, Fraction):
+        if type(n) is Fraction:  # not ``isinstance``: ABCMeta's check runs in Python
             if n.denominator % self.p == 0:
                 raise ParseError(f"{n} has no image in {self.name}")
             return self.div(n.numerator % self.p, n.denominator % self.p)

@@ -114,8 +114,12 @@ class SpanSubgroup:
 Subgroup = SupportSubgroup | SpanSubgroup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductElement:
+    """A tuple of series, one per factor of a ``ProductGroup``.  Slotted, with
+    no ``__dict__``; the section builds its witness through ``_set_components``,
+    the slot's ``__set__``."""
+
     components: tuple[Series, ...]
 
     def __len__(self):
@@ -126,6 +130,9 @@ class ProductElement:
 
     def __str__(self) -> str:
         return "(" + "; ".join(map(str, self.components)) + ")"
+
+
+_set_components = ProductElement.components.__set__
 
 
 def min_valuation(t: ProductElement) -> OrderedValue:
@@ -222,7 +229,9 @@ def pseudo_direct_section(subgroups: Sequence[Subgroup], a: Series) -> ProductEl
         if part is not None:
             components = [_trusted(a.field, a.group, (), INFINITY)] * len(subgroups)
             components[i] = part
-            return ProductElement(tuple(components))
+            t = object.__new__(ProductElement)
+            _set_components(t, tuple(components))
+            return t
     if not subgroups:
         raise ValueError("need at least one subgroup")
     raise NotPseudoDirect(

@@ -29,6 +29,7 @@ from .valuegroups import (
     GroupElement,
     OrderedValue,
     ValueGroup,
+    _set_finite,
     ov_add,
 )
 
@@ -38,7 +39,7 @@ class Term(NamedTuple):
     exponent: GroupElement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Series:
     """Finite-support series over ``field`` with exponents in ``group``.
 
@@ -56,6 +57,10 @@ class Series:
     ``valuation`` raises ``IndeterminateValuation`` for a series that is zero
     only to its precision; ``valuation_lower_bound`` is the way to read the
     certified bound, and never raises.
+
+    The class is slotted: an instance has its four fields and no
+    ``__dict__``, so every attribute read is a slot read, and the unchecked
+    builds set the slots directly (``_trusted``).
     """
 
     field: CoefficientField
@@ -93,7 +98,9 @@ class Series:
 
     def valuation(self) -> OrderedValue:
         if self.terms:
-            return OrderedValue(self.terms[0].exponent)
+            v = _new(OrderedValue)  # built as ``_trusted`` builds a series
+            _set_finite(v, self.terms[0].exponent)
+            return v
         if self.truncation.finite is None:
             return INFINITY
         raise IndeterminateValuation(
@@ -104,7 +111,11 @@ class Series:
     def valuation_lower_bound(self) -> OrderedValue:
         """Greatest lower bound the data certifies for the valuation: the
         valuation when it is determined, else the truncation."""
-        return OrderedValue(self.terms[0].exponent) if self.terms else self.truncation
+        if not self.terms:
+            return self.truncation
+        v = _new(OrderedValue)
+        _set_finite(v, self.terms[0].exponent)
+        return v
 
     def leading_term(self) -> Term:
         if not self.terms:
@@ -219,11 +230,22 @@ def _trusted(
     terms: tuple[Term, ...],
     truncation: OrderedValue,
 ) -> Series:
-    """A ``Series`` from terms that already meet its invariants, unchecked."""
-    s = object.__new__(Series)
-    d = s.__dict__
-    d["field"], d["group"], d["terms"], d["truncation"] = field, group, terms, truncation
+    """A ``Series`` from terms that already meet its invariants, unchecked:
+    the four slots are set through their member descriptors, bound below,
+    so no ``__init__`` or other Python-level call runs."""
+    s = _new(Series)
+    _set_field(s, field)
+    _set_group(s, group)
+    _set_terms(s, terms)
+    _set_truncation(s, truncation)
     return s
+
+
+_new = object.__new__
+_set_field = Series.field.__set__
+_set_group = Series.group.__set__
+_set_terms = Series.terms.__set__
+_set_truncation = Series.truncation.__set__
 
 
 def _below(terms: tuple[Term, ...], truncation: OrderedValue) -> tuple[Term, ...]:

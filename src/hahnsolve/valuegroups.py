@@ -153,13 +153,15 @@ RATIONALS = RationalGroup()
 LEX2 = LexPair(INTEGERS, INTEGERS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderedValue:
     """An element of a value group, or the adjoined top element.
 
     ``finite`` is ``None`` exactly for the top element, which compares strictly
     greater than every group value.  The order operators are native: they
-    compare the ``finite`` payloads directly, with ``None`` on top.
+    compare the ``finite`` payloads directly, with ``None`` on top.  The class
+    is slotted, with no ``__dict__``; ``Series.valuation`` builds one per
+    correction step through ``_set_finite``, its slot's ``__set__``.
     """
 
     finite: GroupElement | None = None
@@ -189,6 +191,7 @@ class OrderedValue:
 
 
 INFINITY = OrderedValue(None)
+_set_finite = OrderedValue.finite.__set__
 
 
 def ov_compare(x: OrderedValue, y: OrderedValue) -> int:

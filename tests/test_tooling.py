@@ -13,13 +13,16 @@ normaliser's traffic is pinned too: a drawn series and a product each reach
 ``make_series`` once, with a list of plain pairs, and the field work the
 tracer's ``fields.*`` counters see per step or per checked pair is fixed.
 So is the interpreter work of a correction step and of a parsed or printed
-term.
+term, and the slotted layout of the values a step builds without ``__init__``.
 """
 
 import ast
+import copy
+import dataclasses
 import functools
 import gc
 import importlib.util
+import pickle
 import random
 import re
 import sys
@@ -348,14 +351,16 @@ def _python_calls(fn) -> int:
 # Python-level calls per correction step on CPython 3.11, by case; the parent
 # of this pin read QQ ddt 63, QQ euler 61, GF(7) ddt 47, GF(7) euler 45,
 # QQ mod:3 43 and GF(7) mod:3 38 (30 and 26 before ``ProductGroup.total``
-# lost its two per-part generators).
+# lost its two per-part generators), and QQ ddt and euler 41, GF(7) ddt and
+# euler 36, QQ mod:3 28 and GF(7) mod:3 24 before a step's value and witness
+# were built through their slots and GF(p)'s coerce left ``isinstance``.
 STEP_CALLS = {
-    ("rationals", "ddt"): 41,
-    ("rationals", "euler"): 41,
-    ("gf(7)", "ddt"): 36,
-    ("gf(7)", "euler"): 36,
-    ("rationals", "mod:3"): 28,
-    ("gf(7)", "mod:3"): 24,
+    ("rationals", "ddt"): 40,
+    ("rationals", "euler"): 40,
+    ("gf(7)", "ddt"): 32,
+    ("gf(7)", "euler"): 32,
+    ("rationals", "mod:3"): 26,
+    ("gf(7)", "mod:3"): 22,
 }
 
 
@@ -400,7 +405,8 @@ def _pinned_text(n: int, group) -> str:
 # Python-level calls per term of the text layer on CPython 3.11, by
 # (direction, field, group); the parent of this pin read print QQ int 8.75,
 # QQ rat 12.75, GF(7) int 4.5, GF(7) rat 8.5 and parse QQ int 9.5, QQ rat
-# 19, GF(7) int 13, GF(7) rat 22.5 on these texts.
+# 19, GF(7) int 13, GF(7) rat 22.5 on these texts (GF(7) int 12 and rat 21.5
+# while GF(p)'s coerce still used ``isinstance``).
 TEXT_CALLS = {
     ("print", "rationals", "int"): 2,
     ("print", "rationals", "rat"): 2,
@@ -408,8 +414,8 @@ TEXT_CALLS = {
     ("print", "gf(7)", "rat"): 2,
     ("parse", "rationals", "int"): 8.5,
     ("parse", "rationals", "rat"): 18,
-    ("parse", "gf(7)", "int"): 12,
-    ("parse", "gf(7)", "rat"): 21.5,
+    ("parse", "gf(7)", "int"): 11.5,
+    ("parse", "gf(7)", "rat"): 21,
 }
 
 
@@ -433,3 +439,42 @@ def test_interpreter_work_per_text_term_is_pinned(direction, field, group):
         calls[n] = _python_calls(run)
     per_term = (calls[8] - calls[4]) / 4
     assert per_term <= TEXT_CALLS[(direction, field.name, group.name)], per_term
+
+
+def _unchecked_and_checked(kind: str, field) -> tuple:
+    """One object of ``kind`` built the way a correction step builds it (no
+    ``__init__``), and its twin from the checked constructor."""
+    group = hahnsolve.INTEGERS
+    space = hahnsolve.SeriesSpace(field, group)
+    cut = hahnsolve.OrderedValue(6)
+    pairs = [(3, -2), (Fraction(1, 2), 1), (5, 4)]
+    a = space.series([*pairs, (1, 9)], cut)  # the last term lies past the cut
+    terms = tuple(hahnsolve.Term(field.coerce(c), g) for c, g in pairs)
+    if kind == "Series":
+        return a, hahnsolve.Series(field, group, terms, cut)
+    if kind == "OrderedValue":
+        return a.valuation(), hahnsolve.OrderedValue(-2)
+    if kind == "OrderedValue bound":
+        return a.valuation_lower_bound(), hahnsolve.OrderedValue(-2)
+    family = [hahnsolve.parse_subgroup(field, group, f"mod:3:{r}") for r in range(3)]
+    zero = hahnsolve.Series(field, group, ())
+    lead = hahnsolve.Series(field, group, terms[:1])
+    return hahnsolve.pseudo_direct_section(family, a), hahnsolve.ProductElement((zero, lead, zero))
+
+
+@pytest.mark.parametrize("field", [hahnsolve.QQ, hahnsolve.PrimeField(7)], ids=str)
+@pytest.mark.parametrize("kind", ["Series", "OrderedValue", "OrderedValue bound", "ProductElement"])
+def test_step_values_are_slotted_frozen_and_equal_to_their_checked_twins(kind, field):
+    """``Series``, ``OrderedValue`` and ``ProductElement`` keep no ``__dict__``
+    (a step reads their fields through slots and builds them by setting the
+    slots), refuse assignment, and an unchecked build is indistinguishable
+    from the checked constructor's, through a deep copy and a pickle too."""
+    built, twin = _unchecked_and_checked(kind, field)
+    assert type(built) is type(twin)
+    assert not hasattr(built, "__dict__") and not hasattr(twin, "__dict__")
+    name = dataclasses.fields(built)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, name, getattr(twin, name))
+    assert built == twin and hash(built) == hash(twin) and repr(built) == repr(twin)
+    for copied in (copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert type(copied) is type(twin) and copied == twin and hash(copied) == hash(twin)
