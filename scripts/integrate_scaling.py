@@ -8,23 +8,43 @@ of each and the median of the five per-pair ratios, so both timings behind a
 ratio come from the same stretch of machine speed.  The solver takes one
 correction step per term and the oracle one pass, so a ratio that stays flat
 as the size doubles means a step costs the same at every size.  `step_us` is
-that cost: the median `integrate` time over its number of correction steps.
-Exits 1 if a solution differs from the oracle.  Takes no arguments:
+that cost: the median `integrate` time over its number of correction steps,
+at reference speed.  Each size's timings are bracketed by the benchmark's
+`reference_ns` (`perfbench/run.py`, imported, not copied) and `step_us` is
+scaled by `REF_NS` over the mean of the two, as the benchmark scales its
+times, so runs taken while the machine is slower or faster compare.  The
+other columns are wall times.  Exits 1 if a solution differs from the
+oracle.  Takes no arguments:
 
     python3 scripts/integrate_scaling.py
 """
 
+import importlib.util
 import random
 import statistics
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from hahnsolve import QQ, RATIONALS, DifferentialFieldSpec, SeriesSpace, ddt
 from hahnsolve import integrate, termwise_integral_oracle
 
 DSPEC = DifferentialFieldSpec(QQ, RATIONALS, ddt(QQ, RATIONALS))
 SIZES = (100, 200, 400, 800, 1600, 3200)
+
+
+def _benchmark_runner():
+    """``perfbench/run.py`` as a module, loaded without writing bytecode beside it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    writing, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writing
+    return module
 
 
 def dense_target(terms: int, seed: int):
@@ -61,16 +81,21 @@ def paired_times(solve, oracle, repeat: int):
 
 
 def main(sizes=SIZES, repeat: int = 5) -> int:
+    bench = _benchmark_runner()
     print(f"{'terms':>6} {'integrate_ms':>13} {'oracle_ms':>10} {'ratio':>6} {'step_us':>8}")
+    ref_before = bench.reference_ns()
     for terms in sizes:
         b = dense_target(terms, seed=terms)
         solve_s, oracle_s, ratio, result, expected = paired_times(
             lambda: integrate(DSPEC, b), lambda: termwise_integral_oracle(DSPEC, b), repeat
         )
+        ref_after = bench.reference_ns()
         if result.solution != expected:
             print(f"{terms}: solution differs from the term-wise oracle", file=sys.stderr)
             return 1
-        step_us = solve_s / result.iterations * 1e6
+        speed = bench.REF_NS / ((ref_before + ref_after) / 2)
+        step_us = solve_s / result.iterations * 1e6 * speed
+        ref_before = ref_after
         print(
             f"{terms:>6} {solve_s * 1e3:>13.2f} {oracle_s * 1e3:>10.2f} {ratio:>6.2f}"
             f" {step_us:>8.2f}"

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 from .errors import AmbiguousShift, Obstruction, ParseError, UnmappedValue
 from .fields import CoefficientField, FieldElement, _split_top_level
 from .reporting import CheckReport
-from .series import Series, SeriesSpace, Term, _trusted, make_series
+from .series import Series, SeriesSpace, _term, _trusted, make_series
 from .solver import (
     DEFAULT_MAX_ITER,
     AsymptoticSection,
@@ -203,7 +203,7 @@ def derive(derivation: TermwiseDerivation, s: Series) -> Series:
     for c, g in s.terms:
         p = mul(c, scale(g))
         if not is_zero(p):
-            kept.append(Term(p, shift(g)))
+            kept.append(_term((p, shift(g))))
     return _trusted(field, s.group, tuple(kept), truncation)
 
 
@@ -226,7 +226,7 @@ def asymptotic_section(dspec: DifferentialFieldSpec, b: Series) -> Series:
     if g2 is None:
         raise Obstruction(g)
     coeff = field.div(c, derivation.scale(g2))
-    return _trusted(field, dspec.group, (Term(coeff, g2),), INFINITY)
+    return _trusted(field, dspec.group, (_term((coeff, g2)),), INFINITY)
 
 
 def integration_instance(

@@ -51,8 +51,10 @@ class SupportSubgroup:
         return all(self.pattern(g) for g in s.support)
 
     def part(self, a: Series) -> Series | None:
-        """``a``'s leading term, as is, when the pattern takes its exponent."""
-        lead = a.leading_term()
+        """``a``'s leading term, as is, when the pattern takes its exponent.
+        The term is read from ``a.terms``; ``leading_term`` runs only to
+        refuse an empty ``a`` with ``EmptySupport``."""
+        lead = a.terms[0] if a.terms else a.leading_term()
         if not self.pattern(lead.exponent):
             return None
         # a leading coefficient is nonzero, so the term is a series as is

@@ -9,9 +9,11 @@ prime to p, so each has an image in the field, as the power rule's
 
 A seed gives the same draws as the plain ``randint``/``Fraction(n, d)``
 sampler in ``tests/test_sampling.py``, on a given interpreter (Python promises
-only ``random()`` across versions), at one RNG call per number:
-``choice(range(lo, hi + 1))`` takes the ``_randbelow`` width of ``randint(lo,
-hi)``.  GF(p) keeps ``randrange``: ``range(1, p)`` has no ``len`` above 2**63.
+only ``random()`` across versions).  The contract is ``random.Random``'s
+``_randbelow``: each number is drawn by a function built once per table or
+range (``_uniform``) that calls ``getrandbits(n.bit_length())`` until the
+result is below ``n``, as ``choice``, ``randint`` and ``randrange`` do (GF(p)
+too: ``range(1, p)`` has no ``len`` above 2**63), in one frame, not two.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from typing import Callable, Collection
 
-from .fields import QQ, CoefficientField, PrimeField
+from .fields import QQ, CoefficientField, PrimeField, _q
 from .series import Series, SeriesSpace, make_series
 from .ultrametric import Ball
 from .valuegroups import INTEGERS, RATIONALS, GroupElement, LexPair, OrderedValue, ValueGroup
@@ -31,27 +34,55 @@ Forbid = Callable[[GroupElement], bool] | Collection[GroupElement] | None
 # Row n + 9 holds Fraction(n, d) for d = 1..6: choosing a row, then an entry,
 # draws as randint(-9, 9) then randint(1, 6) would, already in lowest terms.
 _QQ_ROWS = tuple(tuple(Fraction(n, d) for d in range(1, 7)) for n in range(-9, 10))
+_ZERO_ROW = 9  # the row of n = 0
 
 
-def _forbidden(forbid: Forbid) -> Callable[[GroupElement], bool]:
+def _forbidden(forbid: Forbid) -> Callable[[GroupElement], bool] | None:
+    """The forbid test, or ``None`` when nothing is forbidden."""
     if callable(forbid):
         return forbid
+    if not forbid:
+        return None
     if not isinstance(forbid, (set, frozenset)):
-        forbid = frozenset(forbid or ())
+        forbid = frozenset(forbid)
     return forbid.__contains__
+
+
+def _uniform(rng: random.Random, lo: int, hi: int) -> Callable[[], int]:
+    """A function drawing an int in ``[lo, hi)`` as ``rng.randrange(lo, hi)``
+    and ``rng.choice(range(lo, hi))`` do, value and generator state alike."""
+    n = hi - lo
+    if n <= 0:  # refused when drawn from, with choice's IndexError, as before
+        return partial(rng.choice, ())
+    getrandbits, k = rng.getrandbits, n.bit_length()
+
+    def draw() -> int:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return lo + r
+
+    return draw
 
 
 def _coefficients(rng: random.Random, field: CoefficientField, nonzero: bool) -> Callable:
     """The coefficient rule: a function drawing one canonical coefficient."""
     if isinstance(field, PrimeField):
-        return partial(rng.randrange, 1 if nonzero else 0, field.p)
-    choice = rng.choice
+        return _uniform(rng, 1 if nonzero else 0, field.p)
+    getrandbits = rng.getrandbits
+    rows, entries = len(_QQ_ROWS), len(_QQ_ROWS[0])
+    row_bits, entry_bits = rows.bit_length(), entries.bit_length()
 
-    def draw():
-        c = choice(choice(_QQ_ROWS))
-        while nonzero and not c:
-            c = choice(choice(_QQ_ROWS))
-        return c
+    def draw():  # a row, then an entry, each drawn as ``_uniform`` would
+        while True:
+            i = getrandbits(row_bits)
+            while i >= rows:
+                i = getrandbits(row_bits)
+            j = getrandbits(entry_bits)
+            while j >= entries:
+                j = getrandbits(entry_bits)
+            if not nonzero or i != _ZERO_ROW:
+                return _QQ_ROWS[i][j]
 
     return draw
 
@@ -59,20 +90,24 @@ def _coefficients(rng: random.Random, field: CoefficientField, nonzero: bool) ->
 def _denominators(field: CoefficientField, choices: tuple[int, ...]) -> tuple[int, ...]:
     """``choices``, leaving out the multiples of p over GF(p)."""
     p = field.p if isinstance(field, PrimeField) else 0
-    return tuple(d for d in choices if not p or d % p)
+    return tuple([d for d in choices if not p or d % p])
 
 
 def _exponents(rng: random.Random, group: ValueGroup, lo: int, hi: int, field: CoefficientField):
-    """The exponent rule: a function drawing one exponent in the window."""
-    choice = rng.choice
+    """The exponent rule: a function drawing one exponent in the window; a
+    rational one is built in lowest terms by the kernel's ``_q``."""
     if group == INTEGERS:
-        return partial(choice, range(lo, hi + 1))
+        return _uniform(rng, lo, hi + 1)
     if group == RATIONALS:
-        windows = [(d, range(lo * d, hi * d + 1)) for d in _denominators(field, (1, 2, 3, 4))]
+        dens = _denominators(field, (1, 2, 3, 4))
+        windows = [(d, _uniform(rng, lo * d, hi * d + 1)) for d in dens]
+        window = _uniform(rng, 0, len(windows))
 
         def draw():
-            d, numerators = choice(windows)
-            return Fraction(choice(numerators), d)
+            d, numerator = windows[window()]
+            n = numerator()
+            g = gcd(n, d)
+            return _q(n // g, d // g)
 
         return draw
     if isinstance(group, LexPair):
@@ -131,12 +166,12 @@ def random_series(
     field, group = space.field, space.group
     exponent = _exponents(rng, group, lo, hi, field)
     coefficient = _coefficients(rng, field, True)
-    counts = range(1 if nonzero else 0, max_terms + 1)
+    count = _uniform(rng, 1 if nonzero else 0, max_terms + 1)
     for _ in range(200):
         terms = []
-        for _ in range(rng.choice(counts)):
+        for _ in range(count()):
             g = exponent()
-            if not banned(g):
+            if banned is None or not banned(g):
                 terms.append((coefficient(), g))
         s = make_series(field, group, terms)
         if s.terms or not nonzero:
@@ -175,7 +210,7 @@ def random_nest(
             g = radius
             for _ in range(rng.randint(0, 3)):
                 g = group.add(g, random_positive(rng, group, field))
-            if banned(g):
+            if banned is not None and banned(g):
                 continue
             delta_terms.append((coefficient(), g))
         center = center.add(make_series(field, group, delta_terms))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -39,6 +40,11 @@ class Term(NamedTuple):
     exponent: GroupElement
 
 
+# ``_term((c, g))`` is ``Term(c, g)`` built by ``tuple.__new__`` in C, without
+# the named tuple's Python-level ``__new__``.
+_term = partial(tuple.__new__, Term)
+
+
 @dataclass(frozen=True, slots=True)
 class Series:
     """Finite-support series over ``field`` with exponents in ``group``.
@@ -52,7 +58,8 @@ class Series:
     ``derive`` under an increasing shift, ``asymptotic_section``,
     ``SupportSubgroup.part`` (the leading term, as is) and the decomposition
     section's zeros build their results without the check, because the
-    invariants hold by construction.
+    invariants hold by construction.  Every ``Term`` they build is made by
+    ``tuple.__new__`` (``_term``), so no Python-level ``__new__`` runs.
 
     ``valuation`` raises ``IndeterminateValuation`` for a series that is zero
     only to its precision; ``valuation_lower_bound`` is the way to read the
@@ -138,7 +145,7 @@ class Series:
         return _trusted(
             self.field,
             self.group,
-            tuple(Term(self.field.neg(c), g) for c, g in self.terms),
+            tuple([_term((self.field.neg(c), g)) for c, g in self.terms]),
             self.truncation,
         )
 
@@ -149,11 +156,12 @@ class Series:
         """``c`` times the series: the term order is kept and zero products
         dropped, which a non-canonical scalar such as ``7`` over GF(7) makes."""
         field = self.field
-        products = (Term(field.mul(c, a), g) for a, g in self.terms)
+        mul, is_zero = field.mul, field.is_zero
+        products = [(mul(c, a), g) for a, g in self.terms]
         return _trusted(
             field,
             self.group,
-            tuple(t for t in products if not field.is_zero(t.coefficient)),
+            tuple([_term(t) for t in products if not is_zero(t[0])]),
             self.truncation,
         )
 
@@ -210,15 +218,18 @@ def make_series(
     """Normalize a raw term list into a valid ``Series``.
 
     Duplicate exponents are summed, zero coefficients dropped, and terms at or
-    above the truncation bound discarded.
+    above the truncation bound discarded.  Each exponent is hashed twice, by
+    the lookup and the store, and the kept pairs are sorted by exponent.
     """
     add, is_zero = field.add, field.is_zero
     acc: dict[GroupElement, FieldElement] = {}
     for c, g in terms:
-        acc[g] = add(acc[g], c) if g in acc else c
+        prev = acc.get(g)
+        acc[g] = c if prev is None else add(prev, c)
     bound = truncation.finite
-    kept = sorted(g for g, c in acc.items() if not is_zero(c) and (bound is None or g < bound))
-    return _trusted(field, group, tuple([Term(acc[g], g) for g in kept]), truncation)
+    kept = [(c, g) for g, c in acc.items() if not is_zero(c) and (bound is None or g < bound)]
+    kept.sort(key=_exponent)
+    return _trusted(field, group, tuple(map(_term, kept)), truncation)
 
 
 _exponent = itemgetter(1)
@@ -277,7 +288,7 @@ def _merge(x: Series, y: Series, negate: bool) -> Series:
     if same_kind and len(ys) == 1 and xs and ys[0][1] == xs[0][1]:
         (a, g), (b, _) = xs[0], ys[0]
         c = field.add(a, field.neg(b) if negate else b)
-        terms = xs[1:] if field.is_zero(c) else (Term(c, g),) + xs[1:]
+        terms = xs[1:] if field.is_zero(c) else (_term((c, g)),) + xs[1:]
     else:
         x._like(y)
         if not ys and (y.truncation.finite is None or x.truncation <= y.truncation):
@@ -296,7 +307,7 @@ def _walk(
     field: CoefficientField, xs: tuple[Term, ...], ys: tuple[Term, ...], negate: bool
 ) -> tuple[Term, ...]:
     """The general case of ``_merge``: the sorted terms of ``x + y``."""
-    ys = tuple(Term(field.neg(c), g) for c, g in ys) if negate else ys
+    ys = tuple([_term((field.neg(c), g)) for c, g in ys]) if negate else ys
     short, long = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
     out: list[Term] = []
     i = 0
@@ -310,7 +321,7 @@ def _walk(
         if j < len(long) and long[j].exponent == g:
             c = field.add(term.coefficient, long[j].coefficient)
             if not field.is_zero(c):
-                out.append(Term(c, g))
+                out.append(_term((c, g)))
             j += 1
         else:
             out.append(term)
@@ -357,11 +368,9 @@ class SeriesSpace(ValuedGroup):
                 truncation = part.truncation
         return _trusted(field, group, _below(tuple(terms), truncation), truncation)
 
-    def valuation(self, a: Series) -> OrderedValue:
-        return a.valuation()
-
-    def valuation_lower_bound(self, a: Series) -> OrderedValue:
-        return a.valuation_lower_bound()
+    # the series' own methods, so a read through the space enters one frame
+    valuation = staticmethod(Series.valuation)
+    valuation_lower_bound = staticmethod(Series.valuation_lower_bound)
 
     def monomial(self, coefficient, exponent: GroupElement) -> Series:
         return self.series([(coefficient, exponent)])

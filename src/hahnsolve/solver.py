@@ -90,7 +90,8 @@ def identity_value_map() -> ValueMap:
 class TraceStep(NamedTuple):
     """One correction: 1-based index, residual value after it, term added.
 
-    A named tuple, so the step that records it runs no dataclass ``__init__``.
+    A named tuple, built by ``solve`` as ``tuple.__new__(TraceStep, ...)``, so
+    recording a step runs no Python-level ``__init__`` or ``__new__``.
     """
 
     iteration: int
@@ -158,7 +159,7 @@ def solve(
                 f"correction did not raise the residual value ({value!r} -> {new_value!r})"
             )
         residual, value = new_residual, new_value
-        trace.append(TraceStep(len(trace) + 1, value, s))
+        trace.append(tuple.__new__(TraceStep, (len(trace) + 1, value, s)))
 
 
 def trace_entries(result: SolveResult, group: ValueGroup) -> list[dict]:

@@ -12,8 +12,9 @@ assumption is pinned here, and no other module may touch the slots.  The
 normaliser's traffic is pinned too: a drawn series and a product each reach
 ``make_series`` once, with a list of plain pairs, and the field work the
 tracer's ``fields.*`` counters see per step or per checked pair is fixed.
-So is the interpreter work of a correction step and of a parsed or printed
-term, and the slotted layout of the values a step builds without ``__init__``.
+So is the interpreter work of a correction step, of a sampled term and of a
+parsed or printed term, and the slotted layout of the values a step builds
+without ``__init__``.
 """
 
 import ast
@@ -351,16 +352,20 @@ def _python_calls(fn) -> int:
 # Python-level calls per correction step on CPython 3.11, by case; the parent
 # of this pin read QQ ddt 63, QQ euler 61, GF(7) ddt 47, GF(7) euler 45,
 # QQ mod:3 43 and GF(7) mod:3 38 (30 and 26 before ``ProductGroup.total``
-# lost its two per-part generators), and QQ ddt and euler 41, GF(7) ddt and
+# lost its two per-part generators), QQ ddt and euler 41, GF(7) ddt and
 # euler 36, QQ mod:3 28 and GF(7) mod:3 24 before a step's value and witness
-# were built through their slots and GF(p)'s coerce left ``isinstance``.
+# were built through their slots and GF(p)'s coerce left ``isinstance``, and
+# QQ ddt and euler 40, GF(7) ddt and euler 32, QQ mod:3 26 and GF(7) mod:3 22
+# before terms and trace steps were built by ``tuple.__new__``, the space's
+# ``valuation`` became the series' own and ``SupportSubgroup.part`` read the
+# leading term directly.
 STEP_CALLS = {
-    ("rationals", "ddt"): 40,
-    ("rationals", "euler"): 40,
-    ("gf(7)", "ddt"): 32,
-    ("gf(7)", "euler"): 32,
-    ("rationals", "mod:3"): 26,
-    ("gf(7)", "mod:3"): 22,
+    ("rationals", "ddt"): 36,
+    ("rationals", "euler"): 36,
+    ("gf(7)", "ddt"): 28,
+    ("gf(7)", "euler"): 28,
+    ("rationals", "mod:3"): 22,
+    ("gf(7)", "mod:3"): 18,
 }
 
 
@@ -388,6 +393,36 @@ def test_interpreter_work_per_step_is_pinned(field, name):
         calls[n] = _python_calls(functools.partial(solve, b))
     steps = calls[10] - calls[4]
     assert steps <= 6 * STEP_CALLS[(field.name, name)], steps / 6
+
+
+# Python-level calls per drawn term of ``random_series`` on [-10, 10] with up
+# to six terms on CPython 3.11, by (field, group), the series' fixed cost
+# shared among its terms; the parent of this pin read QQ int 16.4, GF(7) int
+# 12.1, QQ rat 34.6 and GF(7) rat 29.4, when each number took ``choice`` and
+# ``_randbelow`` and each ``rat`` exponent a ``Fraction(n, d)``.
+SAMPLE_CALLS = {
+    ("rationals", "int"): 7.7,
+    ("gf(7)", "int"): 8.4,
+    ("rationals", "rat"): 22.9,
+    ("gf(7)", "rat"): 22.5,
+}
+
+
+@pytest.mark.parametrize("group", [hahnsolve.INTEGERS, hahnsolve.RATIONALS], ids=str)
+@pytest.mark.parametrize("field", [hahnsolve.QQ, hahnsolve.PrimeField(7)], ids=str)
+def test_interpreter_work_per_sampled_term_is_pinned(field, group):
+    """Python-level calls of 200 seeded draws less those of their first 100,
+    over the terms the last 100 returned, must not grow."""
+    space = hahnsolve.SeriesSpace(field, group)
+    hahnsolve.random_series(random.Random(1), space, -10, 10, 6)  # warms every path up
+    calls, terms = {}, {}
+    for n in (200, 100):
+        rng, drawn = random.Random(0), []
+        draw = lambda: [hahnsolve.random_series(rng, space, -10, 10, 6) for _ in range(n)]
+        calls[n] = _python_calls(lambda: drawn.extend(draw()))
+        terms[n] = sum(len(s.terms) for s in drawn)
+    per_term = (calls[200] - calls[100]) / (terms[200] - terms[100])
+    assert per_term <= SAMPLE_CALLS[(field.name, group.name)], per_term
 
 
 def _pinned_text(n: int, group) -> str:
