@@ -8,13 +8,14 @@ of each and the median of the five per-pair ratios, so both timings behind a
 ratio come from the same stretch of machine speed.  The solver takes one
 correction step per term and the oracle one pass, so a ratio that stays flat
 as the size doubles means a step costs the same at every size.  `step_us` is
-that cost: the median `integrate` time over its number of correction steps,
-at reference speed.  Each size's timings are bracketed by the benchmark's
-`reference_ns` (`perfbench/run.py`, imported, not copied) and `step_us` is
-scaled by `REF_NS` over the mean of the two, as the benchmark scales its
-times, so runs taken while the machine is slower or faster compare.  The
-other columns are wall times.  Exits 1 if a solution differs from the
-oracle.  Takes no arguments:
+that cost at reference speed: each timed pair is bracketed by the
+benchmark's `reference_ns` (`perfbench/run.py`, imported, not copied), the
+pair's `integrate` time over its number of correction steps is scaled by
+`REF_NS` over the mean of the two readings, as the benchmark scales its
+times, and `step_us` is the median of the five scaled costs.  So runs taken
+while the machine is slower or faster compare, and so does a change of speed
+inside one size.  The other columns are wall times.  Exits 1 if a solution
+differs from the oracle.  Takes no arguments:
 
     python3 scripts/integrate_scaling.py
 """
@@ -64,38 +65,46 @@ def _timed(fn):
     return time.perf_counter() - start, value
 
 
-def paired_times(solve, oracle, repeat: int):
+def paired_times(solve, oracle, repeat: int, reference):
     """Medians of ``repeat`` timings of ``solve`` and of ``oracle``, taken in
-    alternation, and the median of the per-pair ratios; then both last values.
+    alternation, the median of the per-pair ratios and the median of the
+    per-pair ``solve`` times at reference speed; then both last values.
     Each pair is timed back to back, so a change in machine speed between
-    pairs moves both timings of a pair and leaves its ratio alone."""
-    solve_times, oracle_times, ratios = [], [], []
+    pairs moves both timings of a pair and leaves its ratio alone, and
+    ``reference()`` is read around each pair to scale that pair's time."""
+    solve_times, oracle_times, ratios, scaled = [], [], [], []
+    ref_before = reference()
     for _ in range(repeat):
         solve_s, result = _timed(solve)
         oracle_s, expected = _timed(oracle)
+        ref_after = reference()
         solve_times.append(solve_s)
         oracle_times.append(oracle_s)
         ratios.append(solve_s / oracle_s)
+        scaled.append(solve_s / ((ref_before + ref_after) / 2))
+        ref_before = ref_after
     median = statistics.median
-    return median(solve_times), median(oracle_times), median(ratios), result, expected
+    return (
+        median(solve_times), median(oracle_times), median(ratios), median(scaled),
+        result, expected,
+    )
 
 
 def main(sizes=SIZES, repeat: int = 5) -> int:
     bench = _benchmark_runner()
     print(f"{'terms':>6} {'integrate_ms':>13} {'oracle_ms':>10} {'ratio':>6} {'step_us':>8}")
-    ref_before = bench.reference_ns()
     for terms in sizes:
         b = dense_target(terms, seed=terms)
-        solve_s, oracle_s, ratio, result, expected = paired_times(
-            lambda: integrate(DSPEC, b), lambda: termwise_integral_oracle(DSPEC, b), repeat
+        solve_s, oracle_s, ratio, scaled_s, result, expected = paired_times(
+            lambda: integrate(DSPEC, b),
+            lambda: termwise_integral_oracle(DSPEC, b),
+            repeat,
+            bench.reference_ns,
         )
-        ref_after = bench.reference_ns()
         if result.solution != expected:
             print(f"{terms}: solution differs from the term-wise oracle", file=sys.stderr)
             return 1
-        speed = bench.REF_NS / ((ref_before + ref_after) / 2)
-        step_us = solve_s / result.iterations * 1e6 * speed
-        ref_before = ref_after
+        step_us = scaled_s * bench.REF_NS / result.iterations * 1e6
         print(
             f"{terms:>6} {solve_s * 1e3:>13.2f} {oracle_s * 1e3:>10.2f} {ratio:>6.2f}"
             f" {step_us:>8.2f}"

@@ -59,19 +59,27 @@ class TermwiseDerivation:
     preimage exists; uniqueness is the constructor's burden (table-built
     derivations reject ambiguous shifts outright).  ``map_truncation``
     carries a precision bound through the derivation conservatively.
-    ``increasing`` declares the shift strictly increasing on live exponents
-    (``d(g) != 0``): true of the power rule, decided once for a table.
     ``field`` and ``group`` are the coefficients and exponents it was built for.
+    ``increasing`` is no field: only ``ddt``, ``euler`` and ``from_tables``
+    set it, where they proved the shift strictly increasing on live exponents
+    (``d(g) != 0``), and only then does ``derive`` skip the normaliser.
     """
 
-    name: str
     field: CoefficientField
     group: ValueGroup
     scale: Callable[[GroupElement], FieldElement]
     shift: Callable[[GroupElement], GroupElement]
     shift_inverse: Callable[[GroupElement], GroupElement | None]
     map_truncation: Callable[[OrderedValue], OrderedValue]
-    increasing: bool = False
+
+    increasing = False
+
+
+@dataclass(frozen=True)
+class _OrderKeeping(TermwiseDerivation):
+    """A derivation whose builder proved its shift increasing on live exponents."""
+
+    increasing = True
 
 
 def _unit_for(group: ValueGroup) -> GroupElement:
@@ -82,9 +90,7 @@ def _unit_for(group: ValueGroup) -> GroupElement:
     raise ParseError(f"derivation needs integer or rational exponents, got {group!r}")
 
 
-def _power_rule(
-    name: str, field: CoefficientField, group: ValueGroup, step: int
-) -> TermwiseDerivation:
+def _power_rule(field: CoefficientField, group: ValueGroup, step: int) -> TermwiseDerivation:
     """``c t^g -> (c g) t^{g - step}``; step 0 takes identity maps, no arithmetic.
     A preimage whose scale has no image in the field (over GF(p), one whose
     denominator p divides) is not admissible, as one whose scale is zero."""
@@ -103,19 +109,17 @@ def _power_rule(
         except ParseError:
             return None
 
-    return TermwiseDerivation(
-        name, field, group, field.coerce, shift, shift_inverse, map_truncation, True
-    )
+    return _OrderKeeping(field, group, field.coerce, shift, shift_inverse, map_truncation)
 
 
 def ddt(field: CoefficientField, group: ValueGroup) -> TermwiseDerivation:
     """Ordinary differentiation: ``c t^g -> (c g) t^{g-1}``."""
-    return _power_rule("ddt", field, group, 1)
+    return _power_rule(field, group, 1)
 
 
 def euler(field: CoefficientField, group: ValueGroup) -> TermwiseDerivation:
     """Euler operator ``t * d/dt``: ``c t^g -> (c g) t^g``."""
-    return _power_rule("euler", field, group, 0)
+    return _power_rule(field, group, 0)
 
 
 def from_tables(
@@ -124,8 +128,8 @@ def from_tables(
     scale_table: dict[GroupElement, FieldElement],
     shift_table: dict[GroupElement, GroupElement] | None = None,
 ) -> TermwiseDerivation:
-    """Derivation named ``custom`` from finite tables; ``d`` is zero
-    off-table, ``sigma`` the identity off-table.
+    """Derivation from finite tables; ``d`` is zero off-table, ``sigma`` the
+    identity off-table.
 
     Rejected at construction when the shift is not injective on the exponents
     that survive (``d != 0``): an ambiguous shift would leave the leading-term
@@ -145,15 +149,14 @@ def from_tables(
         above = [OrderedValue(h) for g, h in zip(live, images) if not OrderedValue(g) < t]
         return min(above) if above else INFINITY
 
-    return TermwiseDerivation(
-        name="custom",
+    increasing = all(a < b for a, b in zip(images, images[1:]))
+    return (_OrderKeeping if increasing else TermwiseDerivation)(
         field=field,
         group=group,
         scale=lambda g: scale_table.get(g, field.zero),
         shift=lambda g: shift_table.get(g, g),
         shift_inverse=inverse.get,
         map_truncation=map_truncation,
-        increasing=all(a < b for a, b in zip(images, images[1:])),
     )
 
 
@@ -188,9 +191,11 @@ class DifferentialFieldSpec:
 
 def derive(derivation: TermwiseDerivation, s: Series) -> Series:
     """Apply the derivation to every term; precision carried conservatively.
-    An ``increasing`` shift keeps the term order, so the kept terms are built
-    in one loop that drops zero products, and nothing is cut: no kept image
-    reaches the mapped bound."""
+    The derivation's builder chooses the path: a shift it proved increasing
+    (``ddt``, ``euler``, an ascending table) keeps the term order, so the kept
+    terms are built in one loop that drops zero products and nothing is cut.
+    Any other derivation, a hand-built one included, goes through
+    ``make_series``."""
     field, scale, shift = s.field, derivation.scale, derivation.shift
     truncation = s.truncation
     if truncation.finite is not None:

@@ -246,18 +246,10 @@ def _span_section(subgroups: Sequence[SpanSubgroup], a: Series) -> ProductElemen
     return pseudo_direct_section(subgroups, a)
 
 
-# unused; perfbench/tracer.py still wraps it by name (GRID)
+# Never called; kept by name and signature only because perfbench/tracer.py
+# resolves and wraps it (GRID) to count grid candidates.
 def _grid(dims: int, radius: int):
-    """Integer offset tuples in [-radius, radius]^dims, excluding all-zero."""
-    if dims == 0:
-        return
-    span = range(-radius, radius + 1)
-    stack = [()]
-    for _ in range(dims):
-        stack = [prefix + (k,) for prefix in stack for k in span]
-    for combo in stack:
-        if any(combo):
-            yield combo
+    return iter(())
 
 
 def _solve_linear(

@@ -55,10 +55,11 @@ class Series:
     fails.  ``make_series`` (and the ``SeriesSpace`` helpers) normalizes an
     arbitrary term list; it, the arithmetic below (``add``, ``sub``, ``neg``,
     ``scale``, ``truncate``, ``SeriesSpace.zero`` and ``SeriesSpace.total``),
-    ``derive`` under an increasing shift, ``asymptotic_section``,
-    ``SupportSubgroup.part`` (the leading term, as is) and the decomposition
-    section's zeros build their results without the check, because the
-    invariants hold by construction.  Every ``Term`` they build is made by
+    ``derive`` under the derivations of ``ddt``, ``euler`` and an ascending
+    ``from_tables`` table, ``asymptotic_section``, ``SupportSubgroup.part``
+    (the leading term, as is) and the decomposition section's zeros build
+    their results without the check, because the invariants hold by
+    construction.  Every ``Term`` they build is made by
     ``tuple.__new__`` (``_term``), so no Python-level ``__new__`` runs.
 
     ``valuation`` raises ``IndeterminateValuation`` for a series that is zero

@@ -1,5 +1,6 @@
 """Term-wise derivations, formal integration, obstructions, sample checks."""
 
+import inspect
 import random
 import re
 from fractions import Fraction
@@ -192,6 +193,53 @@ class TestInOrderDeriveMatchesNormaliser:
         assert result.solution == QZ.series([(1, 1), (1, 2)])
 
 
+class TestHandBuiltDerivation:
+    """A derivation built by hand takes only its maps, and its image always
+    goes through the normaliser, whatever its shift does to the term order."""
+
+    MAPS = dict(
+        scale=lambda g: hs.QQ.one,
+        shift=lambda g: -g,
+        shift_inverse=lambda g: -g,
+        map_truncation=lambda t: t,
+    )
+
+    def test_takes_only_its_maps(self):
+        fields = ["field", "group", "scale", "shift", "shift_inverse", "map_truncation"]
+        assert list(inspect.signature(hs.TermwiseDerivation).parameters) == fields
+
+    @pytest.mark.parametrize("option", [{"increasing": True}, {"name": "neg"}])
+    def test_refuses_a_builder_option(self, option):
+        with pytest.raises(TypeError):
+            hs.TermwiseDerivation(hs.QQ, hs.INTEGERS, **self.MAPS, **option)
+
+    def test_order_reversing_shift_keeps_the_series_invariant(self):
+        d = hs.TermwiseDerivation(hs.QQ, hs.INTEGERS, **self.MAPS)
+        assert not d.increasing
+        image = hs.derive(d, QZ.series([(1, 1), (1, 2), (1, 3)]))
+        assert image == QZ.series([(1, -3), (1, -2), (1, -1)])
+        assert image.add(QZ.monomial(1, -2)) == QZ.series([(1, -3), (2, -2), (1, -1)])
+
+    @pytest.mark.parametrize(
+        "shift, collides",
+        [(lambda g: -g, False), (lambda g: g // 2, True)],
+        ids=["decreasing", "non-injective"],
+    )
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "truncated"])
+    def test_derives_to_the_normalised_image(self, shift, collides, exact):
+        rng = random.Random(f"{exact}")
+        d = hs.TermwiseDerivation(hs.QQ, hs.INTEGERS, **{**self.MAPS, "shift": shift})
+        collided = 0
+        for _ in range(50):
+            s = TestInOrderDeriveMatchesNormaliser._series(rng, QZ, exact)
+            image = hs.derive(d, s)
+            expected = _normalised_image(d, s)
+            assert image.terms == expected.terms
+            assert image.truncation == expected.truncation
+            collided += len({shift(g) for g in s.support}) < len(s.terms)
+        assert (collided > 0) == collides
+
+
 class TestFromTables:
     def test_table_action_and_off_table_kill(self):
         d = hs.from_tables(hs.QQ, hs.INTEGERS, {2: Fraction(1), 3: Fraction(3)}, {2: 5})
@@ -333,6 +381,14 @@ class TestIntegrate:
         assert solution == space.monomial(1, 4)
         assert section.contains(solution)
 
+    def test_value_map_inverse_refuses_values_without_a_preimage(self):
+        _spec, _section, value_map = hs.integration_instance(DDT)
+        assert value_map.inverse(OV(2)) == OV(3)
+        with pytest.raises(hs.UnmappedValue, match="^the top value has no finite preimage$"):
+            value_map.inverse(INF)
+        with pytest.raises(hs.UnmappedValue, match="^no achieved value maps onto -1$"):
+            value_map.inverse(OV(-1))
+
     def test_prime_field_obstruction_via_integrate(self):
         with pytest.raises(hs.Obstruction) as excinfo:
             hs.integrate(DDT5, F5Z.monomial(1, 4))
@@ -469,13 +525,13 @@ class TestCompatibilityChecks:
 
 class TestParseDerivation:
     def test_builtin_names(self):
-        assert hs.parse_derivation(hs.QQ, hs.INTEGERS, "ddt").name == "ddt"
-        assert hs.parse_derivation(hs.QQ, hs.INTEGERS, "euler").name == "euler"
+        t3 = QZ.monomial(1, 3)
+        assert hs.derive(hs.parse_derivation(hs.QQ, hs.INTEGERS, "ddt"), t3) == QZ.monomial(3, 2)
+        assert hs.derive(hs.parse_derivation(hs.QQ, hs.INTEGERS, "euler"), t3) == QZ.monomial(3, 3)
 
     def test_custom_tables(self):
         d = hs.parse_derivation(hs.QQ, hs.INTEGERS, "d:2=1,3=3;sigma:2=5")
         assert hs.derive(d, QZ.series([(1, 2), (1, 3)])) == QZ.series([(1, 5), (3, 3)])
-        assert d.name == "custom"
 
     def test_custom_tables_reject_ambiguity(self):
         with pytest.raises(hs.AmbiguousShift):

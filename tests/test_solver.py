@@ -395,6 +395,50 @@ class TestHypothesisChecks:
         assert not report.ok
         assert "no strict improvement" in report.violations[0]
 
+    def test_progress_check_flags_a_correction_outside_the_subset(self, euler_parts):
+        spec, honest, _ = euler_parts
+        # euler kills the added constant, so only the subset test sees it
+        with_constant = hs.AsymptoticSection(
+            section=lambda b: honest.section(b).add(QZ.monomial(1, 0)),
+            contains=honest.contains,
+        )
+        report = hs.check_section_progress(spec, with_constant, [QZ.monomial(1, 2)])
+        assert report.violations == ("section output outside the distinguished subset",)
+
+    def test_progress_check_flags_broken_value_agreement(self, euler_parts):
+        spec, _, _ = euler_parts
+
+        class CertifiesZero(hs.SeriesSpace):
+            # a wrong certified bound: every residual is "zero"
+            def valuation_lower_bound(self, a):
+                return INF
+
+        wrong = hs.HomomorphismSpec(QZ, CertifiesZero(hs.QQ, hs.INTEGERS), spec.apply)
+        one_too_high = hs.AsymptoticSection(
+            section=lambda b: QZ.monomial(1, b.leading_term().exponent + 1),
+            contains=lambda s: True,
+        )
+        report = hs.check_section_progress(wrong, one_too_high, [QZ.monomial(1, 2)])
+        assert report.violations == (
+            "value agreement broken: w(f(s))=OrderedValue(3) != w(b)=OrderedValue(2)",
+        )
+
+    def test_decomposition_subset_takes_each_component_from_its_subgroup(self):
+        spec, section = _decomposition(["even", "odd"])
+        even, odd = QZ.series([(1, 2), (1, 4)]), QZ.monomial(1, 3)
+        assert section.contains(hs.ProductElement((even, odd)))
+        assert section.contains(hs.ProductElement((QZ.zero, odd)))
+        assert not section.contains(hs.ProductElement((odd, even)))
+        assert not section.contains(hs.ProductElement((even.add(odd), QZ.zero)))
+        swapped = hs.AsymptoticSection(
+            section=lambda b: hs.ProductElement(section.section(b).components[::-1]),
+            contains=section.contains,
+        )
+        targets = [QZ.monomial(1, 2)]
+        assert hs.check_section_progress(spec, section, targets).ok
+        report = hs.check_section_progress(spec, swapped, targets)
+        assert report.violations == ("section output outside the distinguished subset",)
+
     def test_injectivity_flags_constant_kernel(self, euler_parts):
         spec, _, _ = euler_parts
         # the scaling map kills exponent zero, so distinct constants collide
@@ -416,6 +460,31 @@ class TestHypothesisChecks:
         )
         assert not report.ok
         assert all("forward(" in v for v in report.violations)
+
+    def test_verify_value_map_flags_a_wrong_inverse(self, euler_parts):
+        spec, _, honest = euler_parts
+        wrong = hs.ValueMap(
+            forward=honest.forward,
+            inverse=lambda w: OV(w.finite + 1),
+            domain_contains=honest.domain_contains,
+        )
+        report = hs.verify_value_map(wrong, spec, [QZ.monomial(1, 1), QZ.monomial(1, 2)])
+        assert report.violations == (
+            "inverse(forward(OrderedValue(1))) != OrderedValue(1)",
+            "inverse(forward(OrderedValue(2))) != OrderedValue(2)",
+        )
+
+    def test_verify_value_map_flags_a_domain_test_refusing_an_achieved_value(
+        self, euler_parts
+    ):
+        spec, _, honest = euler_parts
+        wrong = hs.ValueMap(
+            forward=honest.forward,
+            inverse=honest.inverse,
+            domain_contains=lambda v: v.finite > 1,
+        )
+        report = hs.verify_value_map(wrong, spec, [QZ.monomial(1, 1), QZ.monomial(1, 2)])
+        assert report.violations == ("achieved value OrderedValue(1) rejected by domain test",)
 
     @pytest.mark.parametrize("exponents", [(1, 2), (2, 1)])
     def test_verify_value_map_flags_reversal_in_either_sample_order(self, exponents):

@@ -113,6 +113,30 @@ class TestNest:
         assert ball([], 1).contains(witness)
 
 
+class Integers(hs.ValuedGroup):
+    """The integers under addition, valued by ``rule`` away from zero and by
+    ``at_zero`` at zero; a wrong rule makes a valued group wrong on purpose."""
+
+    group = hs.INTEGERS
+    zero = 0
+
+    def __init__(self, rule, at_zero=INF):
+        self.rule, self.at_zero = rule, at_zero
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def valuation(self, a):
+        return self.rule(a) if a else self.at_zero
+
+
+def two_adic(n):
+    return OV((n & -n).bit_length() - 1)
+
+
 class TestUltrametricCheck:
     def test_passes_on_seeded_series_pairs(self):
         from hahnsolve.sampling import random_series
@@ -138,6 +162,21 @@ class TestUltrametricCheck:
         b = space.series([(1, 1)])
         report = hs.check_ultrametric(space, [(a, b)])
         assert not report.ok
+
+    # each pair breaks only its axiom under the wrong valuation
+    BROKEN = {
+        "triangle law": (Integers(lambda n: OV(abs(n))), (5, 4)),
+        "negation symmetry": (Integers(OV), (3, 0)),
+        "definiteness": (Integers(two_adic, at_zero=OV(99)), (1, 2)),
+    }
+
+    @pytest.mark.parametrize("axiom", BROKEN)
+    def test_flags_each_broken_axiom(self, axiom):
+        space, pair = self.BROKEN[axiom]
+        assert hs.check_ultrametric(Integers(two_adic), [pair]).ok
+        report = hs.check_ultrametric(space, [pair])
+        assert len(report.violations) == 1
+        assert report.violations[0].startswith(axiom)
 
     @given(exact_series(), exact_series())
     def test_law_holds_for_exact_series(self, a, b):
