@@ -83,8 +83,8 @@ def _q(n: int, d: int) -> Fraction:
 
 
 def _q_of(x) -> Fraction:
-    """``x`` as a ``Fraction``: itself, an int's exact image (built here, as
-    ``_q`` would), else ``Fraction(x)``."""
+    """``x`` as a ``Fraction``: itself, or an int's exact image (built here,
+    as ``_q`` would); any other type, float and bool too, is a ``TypeError``."""
     t = type(x)
     if t is Fraction:
         return x
@@ -93,7 +93,7 @@ def _q_of(x) -> Fraction:
         q._numerator = x
         q._denominator = 1
         return q
-    return Fraction(x)
+    raise TypeError(f"not an int or a Fraction: {x!r}")
 
 
 def _q_str(a) -> str:
@@ -189,8 +189,9 @@ class CoefficientField(ABC):
 
     @abstractmethod
     def coerce(self, n: int | Fraction) -> FieldElement:
-        """Image of a rational integer (or fraction, where defined) in the field;
-        a fraction with no image is refused with ``ParseError``."""
+        """Image of an ``int`` (or a ``Fraction``, where defined) in the field;
+        a fraction with no image is refused with ``ParseError``, any other
+        type with ``TypeError``."""
 
     def parse(self, text: str) -> FieldElement:
         n = parse_number(text, "coefficient")
@@ -313,11 +314,13 @@ class PrimeField(CoefficientField):
         return str(a % self.p)
 
     def coerce(self, n):
-        if type(n) is Fraction:  # not ``isinstance``: ABCMeta's check runs in Python
+        if type(n) is int:  # not ``isinstance``: ABCMeta's check runs in Python
+            return n % self.p
+        if type(n) is Fraction:
             if n.denominator % self.p == 0:
                 raise ParseError(f"{n} has no image in {self.name}")
             return self.div(n.numerator % self.p, n.denominator % self.p)
-        return n % self.p
+        raise TypeError(f"not an int or a Fraction: {n!r}")
 
 
 QQ = RationalField()

@@ -124,9 +124,6 @@ class ProductElement:
 
     components: tuple[Series, ...]
 
-    def __len__(self):
-        return len(self.components)
-
     def __iter__(self):
         return iter(self.components)
 

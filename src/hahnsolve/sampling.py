@@ -9,11 +9,13 @@ prime to p, so each has an image in the field, as the power rule's
 
 A seed gives the same draws as the plain ``randint``/``Fraction(n, d)``
 sampler in ``tests/test_sampling.py``, on a given interpreter (Python promises
-only ``random()`` across versions).  The contract is ``random.Random``'s
-``_randbelow``: each number is drawn by a function built once per table or
-range (``_uniform``) that calls ``getrandbits(n.bit_length())`` until the
-result is below ``n``, as ``choice``, ``randint`` and ``randrange`` do (GF(p)
-too: ``range(1, p)`` has no ``len`` above 2**63), in one frame, not two.
+only ``random()`` across versions).  In ``random_series``, ``random_coefficient``
+and ``random_exponent`` the contract is ``random.Random``'s ``_randbelow``:
+each number is drawn by a function built once per table or range (``_uniform``)
+that calls ``getrandbits(n.bit_length())`` until the result is below ``n``, as
+``choice``, ``randint`` and ``randrange`` do (GF(p) too: ``range(1, p)`` has no
+``len`` above 2**63), in one frame, not two.  ``random_positive`` and
+``random_nest``'s own counts draw through ``randint``, ``choice`` and ``random()``.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ def _forbidden(forbid: Forbid) -> Callable[[GroupElement], bool] | None:
         return forbid
     if not forbid:
         return None
-    if not isinstance(forbid, (set, frozenset)):
-        forbid = frozenset(forbid)
     return forbid.__contains__
 
 

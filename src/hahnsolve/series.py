@@ -49,10 +49,11 @@ _term = partial(tuple.__new__, Term)
 class Series:
     """Finite-support series over ``field`` with exponents in ``group``.
 
-    Invariants: no stored coefficient is zero, every stored exponent has value
-    strictly below ``truncation``, and exponents are strictly ascending.
-    A direct construction checks all three and raises ``ValueError`` if one
-    fails.  ``make_series`` (and the ``SeriesSpace`` helpers) normalizes an
+    Invariants: stored coefficients are nonzero and canonical (``field.coerce``
+    leaves each as it is), every stored exponent has value strictly below
+    ``truncation``, and exponents are strictly ascending.  A direct
+    construction checks all three and raises ``ValueError`` if one fails.
+    ``make_series`` (and the ``SeriesSpace`` helpers) normalizes an
     arbitrary term list; it, the arithmetic below (``add``, ``sub``, ``neg``,
     ``scale``, ``truncate``, ``SeriesSpace.zero`` and ``SeriesSpace.total``),
     ``derive`` under the derivations of ``ddt``, ``euler`` and an ascending
@@ -78,10 +79,12 @@ class Series:
 
     def __post_init__(self):
         bound = self.truncation.finite
-        prev = None
+        field, prev = self.field, None
         for c, g in self.terms:
-            if self.field.is_zero(c):
+            if field.is_zero(c):
                 raise ValueError(f"zero coefficient stored at exponent {g!r}")
+            if field.coerce(c) != c:
+                raise ValueError(f"coefficient {c!r} at exponent {g!r} is not canonical")
             if bound is not None and g >= bound:
                 raise ValueError(f"exponent {g!r} at or above truncation")
             if prev is not None and prev >= g:
@@ -221,6 +224,9 @@ def make_series(
     Duplicate exponents are summed, zero coefficients dropped, and terms at or
     above the truncation bound discarded.  Each exponent is hashed twice, by
     the lookup and the store, and the kept pairs are sorted by exponent.
+    Coefficients must be canonical already, as none is coerced: raw numbers go
+    through ``SeriesSpace.series``, and ``make_series(PrimeField(7), INTEGERS,
+    [(7, 1), (8, 2)])`` keeps the ``7`` and builds ``0*t^1 + t^2``.
     """
     add, is_zero = field.add, field.is_zero
     acc: dict[GroupElement, FieldElement] = {}

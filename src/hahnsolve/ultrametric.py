@@ -149,9 +149,6 @@ class Nest:
     def smallest(self) -> Ball:
         return self.balls[-1]
 
-    def __len__(self):
-        return len(self.balls)
-
     def __iter__(self):
         return iter(self.balls)
 

@@ -4,12 +4,12 @@ Built-in groups: integers, rationals, and lexicographic pairs (left dominant).
 Group elements are plain Python values (``int``, ``Fraction``, nested tuples)
 whose native ordering is the group order: tuples compare lexicographically,
 left dominant, exactly as ``LexPair`` requires.  Every comparison in the
-package uses the native operators; ``ValueGroup.compare`` is derived from them
-and kept as a three-way API.
+package uses the native operators, so the contract asks for no comparison.
 """
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
@@ -21,7 +21,7 @@ GroupElement = Any
 
 
 class ValueGroup(ABC):
-    """Ordered abelian group contract: add/neg/compare plus text round-trip.
+    """Ordered abelian group contract: zero, add and neg plus a text round-trip.
 
     Elements must be hashable and natively ordered by the group order.
     """
@@ -37,10 +37,6 @@ class ValueGroup(ABC):
 
     @abstractmethod
     def neg(self, a: GroupElement) -> GroupElement: ...
-
-    @abstractmethod
-    def compare(self, a: GroupElement, b: GroupElement) -> int:
-        """-1, 0 or +1 by the native order; total and translation invariant."""
 
     @abstractmethod
     def parse(self, text: str) -> GroupElement: ...
@@ -71,20 +67,16 @@ class IntegerGroup(ValueGroup):
     def zero(self):
         return 0
 
-    def add(self, a, b):
-        return a + b
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    format = staticmethod(str)
 
-    def neg(self, a):
-        return -a
-
+    # unused; perfbench/tracer.py still counts it by name (COUNT_ONLY)
     def compare(self, a, b):
         return _cmp(a, b)
 
     def parse(self, text):
         return parse_number(text, "integer exponent", integer=True)
-
-    def format(self, a):
-        return str(a)
 
 
 @dataclass(frozen=True, repr=False)
@@ -98,19 +90,16 @@ class RationalGroup(ValueGroup):
     def zero(self):
         return _Q_ZERO
 
-    def add(self, a, b):
-        return _q_add(a, b)
+    add = staticmethod(_q_add)
+    neg = staticmethod(_q_neg)
+    format = staticmethod(_q_str)
 
-    def neg(self, a):
-        return _q_neg(a)
-
+    # unused; perfbench/tracer.py still counts it by name (COUNT_ONLY)
     def compare(self, a, b):
         return _cmp(a, b)
 
     def parse(self, text):
         return _q_of(parse_number(text, "rational exponent"))
-
-    format = staticmethod(_q_str)
 
 
 @dataclass(frozen=True, repr=False)
@@ -134,6 +123,7 @@ class LexPair(ValueGroup):
     def neg(self, a):
         return (self.left.neg(a[0]), self.right.neg(a[1]))
 
+    # unused; perfbench/tracer.py still counts it by name (COUNT_ONLY)
     def compare(self, a, b):
         return _cmp(a, b)
 

@@ -217,3 +217,13 @@ def test_field_by_name():
         hs.field_by_name("prime:6")
     with pytest.raises(hs.ParseError):
         hs.field_by_name("surreal")
+
+
+@pytest.mark.parametrize("field", [hs.QQ, hs.PrimeField(5)], ids=str)
+@pytest.mark.parametrize("x", [0.5, 0.1, True, "1"], ids=repr)
+def test_coerce_refuses_anything_but_int_and_fraction(field, x):
+    """A float would be stored as is over GF(p), or as its binary value over QQ."""
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        field.coerce(x)
+    with pytest.raises(TypeError):
+        hs.SeriesSpace(field, hs.INTEGERS).series([(x, 1)])

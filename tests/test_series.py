@@ -74,6 +74,17 @@ class TestMakeSeries:
         with pytest.raises(ValueError):
             hs.Series(hs.QQ, hs.INTEGERS, (hs.Term(Fraction(1), 7),), OV(5))
 
+    @pytest.mark.parametrize("c", [7, 8, -1, Fraction(1, 2)], ids=repr)
+    def test_constructor_refuses_a_non_canonical_coefficient(self, c):
+        gf7 = hs.PrimeField(7)
+        with pytest.raises(ValueError, match="not canonical"):
+            hs.Series(gf7, hs.INTEGERS, (hs.Term(c, 1),))
+        built = hs.SeriesSpace(gf7, hs.INTEGERS).series([(c, 1)])
+        assert hs.Series(gf7, hs.INTEGERS, built.terms) == built
+
+    def test_constructor_takes_an_int_over_qq_by_its_value(self):
+        assert hs.Series(hs.QQ, hs.INTEGERS, (hs.Term(3, 1),)) == QZ.series([(3, 1)])
+
 
 class TestValuation:
     def test_min_of_support(self):
